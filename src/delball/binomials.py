@@ -1,4 +1,4 @@
-"""Binomial coefficients served from a lazily grown Pascal triangle.
+"""Binomial coefficients with the out-of-range convention the bounds rely on.
 
 Out-of-range arguments vanish: C(a, b) = 0 whenever a < 0, b < 0, or
 b > a.  Every bound formula in this package relies on that convention to
@@ -7,34 +7,11 @@ drop terms instead of raising.
 
 from __future__ import annotations
 
-import threading
-
-
-class PascalTable:
-    """Rows of Pascal's triangle, grown on demand; safe for concurrent use."""
-
-    def __init__(self) -> None:
-        self._rows: list[list[int]] = [[1]]
-        self._lock = threading.Lock()
-
-    def binomial(self, a: int, b: int) -> int:
-        if a < 0 or b < 0 or b > a:
-            return 0
-        if a >= len(self._rows):
-            self._grow(a)
-        return self._rows[a][b]
-
-    def _grow(self, a: int) -> None:
-        with self._lock:
-            while len(self._rows) <= a:
-                prev = self._rows[-1]
-                row = [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1]
-                self._rows.append(row)
-
-
-_SHARED = PascalTable()
+from math import comb
 
 
 def binomial(a: int, b: int) -> int:
     """C(a, b), with out-of-range arguments giving 0."""
-    return _SHARED.binomial(a, b)
+    if a < 0 or b < 0 or b > a:
+        return 0
+    return comb(a, b)

@@ -13,21 +13,23 @@ For a word with n symbols, r runs and alphabet q under t deletions:
 * Reduced-binary lower bound: |ball| >= ball of the binary word with r-1
   unit runs and one long run (relabel runs to binary, then unbalance).
 
-The last two are computed exactly, not from further closed forms: the
-lower bound runs the DP on its witness word, the upper bound evaluates
-the balanced closed form.
+The last two are computed exactly, not from further closed forms: one DP
+pass on each witness word gives its whole column over t (the balanced
+word's closed form stays in ``balanced`` as an oracle).  With the
+bottom-up Calabi-Hartnett table, a report computes every column once.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from itertools import islice
+from operator import add
+from typing import Iterator, Sequence
 
-from .balanced import BalancedBallCalculator
 from .binomials import binomial
 from .exact import ball_size, ball_size_all
-from .words import Word, canonical_word, encode_runs, unbalanced_binary_word
+from .words import Word, balanced_word, canonical_word, encode_runs, unbalanced_binary_word
 
 COLUMN_ORDER = (
     "exact",
@@ -41,37 +43,81 @@ COLUMN_ORDER = (
 )
 
 
+def _check_params(q: int, n: int, r: int) -> None:
+    if q < 2:
+        raise ValueError("need q >= 2")
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+
+
+def _entry(values: Sequence[int], t: int) -> int:
+    """values[t], or 0 past either end of the column."""
+    return values[t] if 0 <= t < len(values) else 0
+
+
 def levenshtein_bounds(r: int, t: int) -> tuple[int, int]:
     """(C(r-t+1, t), C(r+t-1, t)); out-of-range binomials vanish."""
     return binomial(r - t + 1, t), binomial(r + t - 1, t)
 
 
-@lru_cache(maxsize=None)
+def _calabi_hartnett_rows(q: int, width: int) -> Iterator[list[int]]:
+    """Rows m = 0, 1, 2, ... of D(q, m, t), each cut to the entries t < width.
+
+    D splits on which symbol a subsequence starts with: keeping the first
+    occurrence of symbol i discards i earlier symbols, so
+    D(q, m, t) = sum_{i<q} D(q, m-i-1, t-i), with 1 at t = 0 (the word
+    itself) and at t = m (the empty subsequence), 0 outside [0, m].  Row m
+    is the sum of the q rows before it, row m-1-i shifted right by i.  No
+    entry depends on a larger t, so cutting every row to ``width`` is exact.
+    """
+    recent: deque[list[int]] = deque(maxlen=q)  # rows m-1, m-2, ..., m-q
+    m = 0
+    while True:
+        row = [0] * min(m + 1, width)
+        for i, prev in enumerate(recent):
+            end = min(len(prev) + i, len(row))
+            row[i:end] = map(add, row[i:end], prev)
+        row[0] = 1
+        if m < width:
+            row[m] = 1
+        yield row
+        recent.appendleft(row)
+        m += 1
+
+
+def _calabi_hartnett_row(q: int, n: int, width: int) -> list[int]:
+    """D(q, n, t) for 0 <= t < min(n + 1, width)."""
+    return next(islice(_calabi_hartnett_rows(q, width), n, None))
+
+
 def calabi_hartnett_max(q: int, n: int, t: int) -> int:
     """Largest ball size over all length-n words with alphabet q.
 
-    Attained by any word cycling through all q symbols.  Recursion splits
-    on which symbol a subsequence starts with: keeping the first
-    occurrence of symbol i discards i earlier symbols.  Base cases: 0
-    outside 0 <= t <= n, 1 for t = 0 (the word itself) and for t = n (the
-    empty subsequence).
+    Attained by any word cycling through all q symbols; 0 outside
+    0 <= t <= n.
     """
     if q < 1:
         raise ValueError("need q >= 1")
-    if t < 0 or t > n or n < 0:
+    if t < 0 or t > n:
         return 0
-    if t == 0 or t == n:
-        return 1
-    return sum(calabi_hartnett_max(q, n - i - 1, t - i) for i in range(q))
+    return _calabi_hartnett_row(q, n, t + 1)[t]
+
+
+def _hr_lower(r: int, t: int) -> int:
+    return sum(binomial(r - t, i) for i in range(t + 1))
+
+
+def _hr_upper(n: int, t: int, ch_row: list[int]) -> int:
+    """HR upper bound at t, given ch_row = D(q-1, t, .)."""
+    return sum(binomial(n - t, i) * ch_row[t - i] for i in range(t + 1))
 
 
 def hirschberg_regnier_bounds(q: int, n: int, r: int, t: int) -> tuple[int, int]:
     """(sum_i C(r-t, i), sum_i C(n-t, i) * D(q-1, t, t-i)) for i in [0, t]."""
     if q < 2:
         raise ValueError("need q >= 2")
-    lower = sum(binomial(r - t, i) for i in range(t + 1))
-    upper = sum(binomial(n - t, i) * calabi_hartnett_max(q - 1, t, t - i) for i in range(t + 1))
-    return lower, upper
+    upper = _hr_upper(n, t, _calabi_hartnett_row(q - 1, t, t + 1)) if 0 <= t <= n else 0
+    return _hr_lower(r, t), upper
 
 
 def unbalanced_lower_bound(n: int, r: int, t: int) -> int:
@@ -79,26 +125,13 @@ def unbalanced_lower_bound(n: int, r: int, t: int) -> int:
     return ball_size(unbalanced_binary_word(n, r), t)
 
 
-def balanced_upper_bound(
-    q: int, n: int, r: int, t: int, calculator: BalancedBallCalculator | None = None
-) -> int:
-    """Balanced-word ball size with k = ceil(n / r): a cap for every r-run word.
+def balanced_upper_bound(q: int, n: int, r: int, t: int) -> int:
+    """Ball size of the balanced word with k = ceil(n / r): a cap for every r-run word.
 
-    Exact (not just a bound) when r divides n.  Pass a calculator to share
-    memo tables across many t values; its (k, q) must match.
+    Exact (not just a bound) when r divides n.
     """
-    if q < 2:
-        raise ValueError("need q >= 2")
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    k = -(-n // r)
-    if calculator is None:
-        calculator = BalancedBallCalculator(k, q)
-    elif calculator.k != k or calculator.q != q:
-        raise ValueError(
-            f"calculator is for (k={calculator.k}, q={calculator.q}), need (k={k}, q={q})"
-        )
-    return calculator.ball_closed(r, t)
+    _check_params(q, n, r)
+    return ball_size(balanced_word(r, -(-n // r), q), t)
 
 
 @dataclass(frozen=True)
@@ -137,53 +170,61 @@ class BoundReport:
         return ",".join([str(self.t)] + [str(self.value(c)) for c in columns])
 
 
-def _assemble(
-    q: int,
-    n: int,
-    r: int,
-    t: int,
-    exact: int | None,
-    calculator: BalancedBallCalculator | None,
-) -> BoundReport:
-    lev_lower, lev_upper = levenshtein_bounds(r, t)
-    hr_lower, hr_upper = hirschberg_regnier_bounds(q, n, r, t)
-    report = BoundReport(
-        q=q,
-        n=n,
-        r=r,
-        t=t,
-        lev_lower=lev_lower,
-        lev_upper=lev_upper,
-        hr_lower=hr_lower,
-        hr_upper=hr_upper,
-        ch_upper=calabi_hartnett_max(q, n, t),
-        new_lower=unbalanced_lower_bound(n, r, t),
-        new_upper=balanced_upper_bound(q, n, r, t, calculator),
-        exact=exact,
-    )
-    if exact is not None:
-        for low in (report.lev_lower, report.hr_lower, report.new_lower):
-            if low > exact:
-                raise AssertionError(f"lower bound {low} exceeds exact {exact}: {report}")
-        for high in (report.lev_upper, report.hr_upper, report.ch_upper, report.new_upper):
-            if high < exact:
-                raise AssertionError(f"upper bound {high} below exact {exact}: {report}")
-    return report
+def _reports(
+    q: int, n: int, r: int, t_values: Sequence[int], exact: list[int] | None
+) -> list[BoundReport]:
+    """Reports for each t in order; ``exact``, if given, is the exact column.
+
+    Each column is computed once for all t: one DP pass per witness word,
+    one run of Calabi-Hartnett rows per alphabet size.  Rows are cut at
+    the largest t requested.  Raises AssertionError if a bound contradicts
+    the exact value.
+    """
+    _check_params(q, n, r)
+    width = max(min(max(t_values, default=0), n), 0) + 1
+    new_lower = ball_size_all(unbalanced_binary_word(n, r))
+    new_upper = ball_size_all(balanced_word(r, -(-n // r), q))
+    ch_upper = _calabi_hartnett_row(q, n, width)
+    hr_upper = [
+        _hr_upper(n, t, row)
+        for t, row in zip(range(width), _calabi_hartnett_rows(q - 1, width))
+    ]
+    reports = []
+    for t in t_values:
+        lev_lower, lev_upper = levenshtein_bounds(r, t)
+        exact_t = None if exact is None else _entry(exact, t)
+        report = BoundReport(
+            q=q,
+            n=n,
+            r=r,
+            t=t,
+            lev_lower=lev_lower,
+            lev_upper=lev_upper,
+            hr_lower=_hr_lower(r, t),
+            hr_upper=_entry(hr_upper, t),
+            ch_upper=_entry(ch_upper, t),
+            new_lower=_entry(new_lower, t),
+            new_upper=_entry(new_upper, t),
+            exact=exact_t,
+        )
+        if exact_t is not None:
+            for low in (report.lev_lower, report.hr_lower, report.new_lower):
+                if low > exact_t:
+                    raise AssertionError(f"lower bound {low} exceeds exact {exact_t}: {report}")
+            for high in (report.lev_upper, report.hr_upper, report.ch_upper, report.new_upper):
+                if high < exact_t:
+                    raise AssertionError(f"upper bound {high} below exact {exact_t}: {report}")
+        reports.append(report)
+    return reports
 
 
-def report_for_word(
-    word: Word,
-    t: int,
-    with_exact: bool = True,
-    calculator: BalancedBallCalculator | None = None,
-) -> BoundReport:
+def report_for_word(word: Word, t: int, with_exact: bool = True) -> BoundReport:
     """BoundReport for a concrete word; n, r, q are read off the word."""
-    profile = encode_runs(word)
-    r = profile.run_count
+    r = encode_runs(word).run_count
     if r == 0:
         raise ValueError("no bounds for the empty word")
-    exact = ball_size(word, t) if with_exact else None
-    return _assemble(word.alphabet_size, len(word), r, t, exact, calculator)
+    exact = ball_size_all(word) if with_exact else None
+    return _reports(word.alphabet_size, len(word), r, [t], exact)[0]
 
 
 def representative_word(q: int, n: int, r: int) -> Word:
@@ -192,52 +233,22 @@ def representative_word(q: int, n: int, r: int) -> Word:
     Used as the witness whose exact ball size parameter-form reports carry:
     for r = 1 and for r = n it is the only run shape available.
     """
-    if q < 2:
-        raise ValueError("need q >= 2")
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    _check_params(q, n, r)
     return canonical_word((1,) * (r - 1) + (n - r + 1,), q)
 
 
-def report_for_params(
-    q: int,
-    n: int,
-    r: int,
-    t: int,
-    with_exact: bool = False,
-    calculator: BalancedBallCalculator | None = None,
-) -> BoundReport:
+def report_for_params(q: int, n: int, r: int, t: int, with_exact: bool = False) -> BoundReport:
     """BoundReport for (q, n, r); exact, if requested, is for representative_word."""
-    if q < 2:
-        raise ValueError("need q >= 2")
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    exact = ball_size(representative_word(q, n, r), t) if with_exact else None
-    return _assemble(q, n, r, t, exact, calculator)
+    return sweep_reports(q, n, r, [t], with_exact)[0]
 
 
 def sweep_reports(
-    q: int,
-    n: int,
-    r: int,
-    t_values: list[int],
-    with_exact: bool = False,
+    q: int, n: int, r: int, t_values: Sequence[int], with_exact: bool = False
 ) -> list[BoundReport]:
-    """Reports for each t in order, sharing one balanced calculator throughout.
+    """Reports for each t in order, every column computed once for all t.
 
     The exact column, when requested, comes from a single DP pass over
-    representative_word rather than one pass per t.
+    representative_word.
     """
-    if q < 2:
-        raise ValueError("need q >= 2")
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    calculator = BalancedBallCalculator(-(-n // r), q)
-    exact_all = ball_size_all(representative_word(q, n, r)) if with_exact else None
-    reports = []
-    for t in t_values:
-        exact = None
-        if exact_all is not None:
-            exact = exact_all[t] if 0 <= t <= n else 0
-        reports.append(_assemble(q, n, r, t, exact, calculator))
-    return reports
+    exact = ball_size_all(representative_word(q, n, r)) if with_exact else None
+    return _reports(q, n, r, t_values, exact)

@@ -1,8 +1,7 @@
 import random
-from concurrent.futures import ThreadPoolExecutor
 from math import comb
 
-from delball.binomials import PascalTable, binomial
+from delball.binomials import binomial
 
 
 def test_examples():
@@ -30,24 +29,3 @@ def test_pascal_rule():
         b = rng.randint(0, a)
         assert binomial(a, b) == binomial(a - 1, b) + binomial(a - 1, b - 1)
 
-
-def test_concurrent_growth():
-    table = PascalTable()
-
-    def worker(seed: int) -> int:
-        rng = random.Random(seed)
-        acc = 0
-        for _ in range(300):
-            a = rng.randint(0, 150)
-            acc += table.binomial(a, rng.randint(0, a))
-        return acc
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(worker, range(8)))
-    for seed, got in enumerate(results):
-        rng = random.Random(seed)
-        want = 0
-        for _ in range(300):
-            a = rng.randint(0, 150)
-            want += comb(a, rng.randint(0, a))
-        assert got == want

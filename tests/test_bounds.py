@@ -1,6 +1,8 @@
 import json
 import random
+from functools import lru_cache
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -34,6 +36,10 @@ def test_calabi_hartnett_examples():
     assert calabi_hartnett_max(3, 6, 2) == ball_size(parse_word("012012"), 2)
     assert calabi_hartnett_max(2, 4, -1) == 0
     assert calabi_hartnett_max(2, 4, 5) == 0
+    # n = 3000 is deeper than Python's default recursion limit; Hirschberg's
+    # identity D(q, n, t) = sum_i C(n-t, i) * D(q-1, t, t-i) gives the value.
+    want = sum(comb(2995, i) * calabi_hartnett_max(2, 5, 5 - i) for i in range(6))
+    assert calabi_hartnett_max(3, 3000, 5) == want
     with pytest.raises(ValueError):
         calabi_hartnett_max(0, 3, 1)
 
@@ -85,8 +91,6 @@ def test_balanced_upper_bound():
     )
     with pytest.raises(ValueError):
         balanced_upper_bound(3, 4, 5, 1)
-    with pytest.raises(ValueError):
-        balanced_upper_bound(3, 24, 6, 7, calculator=BalancedBallCalculator(5, 3))
 
 
 def test_report_for_word_table_row():
@@ -170,3 +174,34 @@ def test_sandwich_random_words():
             assert report.exact == exact[t]
             assert report.lev_lower <= report.hr_lower
             assert (report.q, report.n, report.r) == (q, n, r)
+
+
+def test_sweep_columns_match_oracles():
+    @lru_cache(maxsize=None)
+    def ch(q, n, t):
+        if t < 0 or t > n:
+            return 0
+        if t == 0 or t == n:
+            return 1
+        return sum(ch(q, n - i - 1, t - i) for i in range(q))
+
+    def hr_upper(q, n, t):
+        return sum(comb(n - t, i) * ch(q - 1, t, t - i) for i in range(t + 1))
+
+    for q in (2, 3, 4):
+        for n in range(1, 15):
+            for r in range(1, n + 1):
+                calculator = BalancedBallCalculator(-(-n // r), q)
+                word = representative_word(q, n, r)
+                reports = sweep_reports(q, n, r, range(n + 1), with_exact=True)
+                assert [rep.t for rep in reports] == list(range(n + 1))
+                for rep in reports:
+                    t = rep.t
+                    assert rep.exact == ball_size(word, t)
+                    assert rep.new_upper == calculator.ball_closed(r, t)
+                    assert rep.new_upper == balanced_upper_bound(q, n, r, t)
+                    assert rep.new_lower == unbalanced_lower_bound(n, r, t)
+                    assert rep.ch_upper == ch(q, n, t) == calabi_hartnett_max(q, n, t)
+                    assert rep.hr_upper == hr_upper(q, n, t)
+                    assert (rep.hr_lower, rep.hr_upper) == hirschberg_regnier_bounds(q, n, r, t)
+                    assert (rep.lev_lower, rep.lev_upper) == levenshtein_bounds(r, t)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from delball.cli import main
@@ -46,6 +47,15 @@ def test_count_budget_exhausted_exit_3(capsys, monkeypatch):
     assert code == 3
     assert "budget" in err
 
+    for bad in ("abc", "0"):
+        monkeypatch.setenv("DELBALL_ENUM_BUDGET", bad)
+        code, out, err = run_cli(
+            capsys, "count", "--word", "0101", "-t", "1", "--method", "enumerate"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("delball: DELBALL_ENUM_BUDGET") and err.count("\n") == 1
+
 
 def test_count_canonical_method(capsys):
     code, out, _ = run_cli(
@@ -89,6 +99,11 @@ def test_bounds_input_errors(capsys):
     )
     assert code == 2
     assert "exact" in err
+    for t in ("6", "-1"):
+        code, out, err = run_cli(capsys, "bounds", "--q", "2", "--n", "5", "--r", "2", "-t", t)
+        assert code == 2
+        assert out == ""
+        assert "outside [0, n=5]" in err
 
 
 def test_sweep_csv_deterministic(capsys, tmp_path):
@@ -150,6 +165,42 @@ def test_sweep_input_errors(capsys):
         capsys, "sweep", "--q", "2", "--n", "600", "--r", "2", "--t", "0..1", "--cols", "exact"
     )
     assert code == 2
+
+
+def test_sweep_n120_outputs_pinned(capsys):
+    """Byte-exact output of the q=3, n=120, r=24 comparison sweep, as CSV and as JSON."""
+    base = ["sweep", "--q", "3", "--n", "120", "--r", "24"]
+    requests = (
+        (["--t", "1..119"], "14ed386936cb27a3c305a3332a7f58b3ea9e1e706f3198952b31f6f36163bf1c"),
+        (
+            ["--t", "0..120", "--format", "json", "--cols",
+             "exact,lev_lower,lev_upper,hr_lower,hr_upper,ch_upper,new_lower,new_upper"],
+            "bec053e871f0deec8f1c7c23136b11c48cb62c5d17a3017e20b0d4faf01c81fc",
+        ),
+    )
+    for extra, digest in requests:
+        code, out, _ = run_cli(capsys, *base, *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_bounds_and_sweep_at_large_n(capsys):
+    # With r = n the balanced word cycles through the alphabet, so it attains
+    # the Calabi-Hartnett maximum, which HR's upper bound equals by Hirschberg's
+    # identity; at q = 2 that word is also the unbalanced witness.
+    code, out, _ = run_cli(capsys, "bounds", "--q", "3", "--n", "1200", "--r", "1200", "-t", "5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["new_upper"] == report["ch_upper"] == report["hr_upper"]
+
+    code, out, _ = run_cli(capsys, "sweep", "--q", "2", "--n", "400", "--r", "400", "--t", "0..400")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert len(lines) == 402
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        assert row["new_lower"] == row["new_upper"] == row["ch_upper"] == row["hr_upper"]
 
 
 def test_sweep_unwritable_path_exit_4(capsys, tmp_path):
