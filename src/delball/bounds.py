@@ -8,6 +8,8 @@ For a word with n symbols, r runs and alphabet q under t deletions:
   over the whole of the length-n alphabet-q space.
 * Hirschberg-Regnier:       sum C(r-t, i) <= |ball|
                             <= sum C(n-t, i) * D(q-1, t, t-i).
+  By Hirschberg's identity the upper sum equals D(q, n, t), so it is
+  read off the Calabi-Hartnett column.
 * Balanced upper bound:     |ball| <= ball of the balanced word with r
   runs of length ceil(n/r) (pad the last run, then balance).
 * Reduced-binary lower bound: |ball| >= ball of the binary word with r-1
@@ -17,6 +19,7 @@ The last two are computed exactly, not from further closed forms: one DP
 pass on each witness word gives its whole column over t (the balanced
 word's closed form stays in ``balanced`` as an oracle).  With the
 bottom-up Calabi-Hartnett table, a report computes every column once.
+Reports and sweeps raise ValueError for any t outside [0, n].
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from operator import add
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .binomials import binomial
 from .exact import ball_size, ball_size_all
@@ -43,16 +46,14 @@ COLUMN_ORDER = (
 )
 
 
-def _check_params(q: int, n: int, r: int) -> None:
+def _check_params(q: int, n: int, r: int, t_values: Iterable[int] = ()) -> None:
     if q < 2:
         raise ValueError("need q >= 2")
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-
-
-def _entry(values: Sequence[int], t: int) -> int:
-    """values[t], or 0 past either end of the column."""
-    return values[t] if 0 <= t < len(values) else 0
+    for t in t_values:
+        if not 0 <= t <= n:
+            raise ValueError(f"t={t} outside [0, n={n}]")
 
 
 def levenshtein_bounds(r: int, t: int) -> tuple[int, int]:
@@ -107,17 +108,15 @@ def _hr_lower(r: int, t: int) -> int:
     return sum(binomial(r - t, i) for i in range(t + 1))
 
 
-def _hr_upper(n: int, t: int, ch_row: list[int]) -> int:
-    """HR upper bound at t, given ch_row = D(q-1, t, .)."""
-    return sum(binomial(n - t, i) * ch_row[t - i] for i in range(t + 1))
-
-
 def hirschberg_regnier_bounds(q: int, n: int, r: int, t: int) -> tuple[int, int]:
-    """(sum_i C(r-t, i), sum_i C(n-t, i) * D(q-1, t, t-i)) for i in [0, t]."""
+    """(sum_i C(r-t, i), sum_i C(n-t, i) * D(q-1, t, t-i)) for i in [0, t].
+
+    The upper sum equals D(q, n, t) by Hirschberg's identity (Hirschberg and
+    Regnier, CPM 2000), so it is returned as calabi_hartnett_max(q, n, t).
+    """
     if q < 2:
         raise ValueError("need q >= 2")
-    upper = _hr_upper(n, t, _calabi_hartnett_row(q - 1, t, t + 1)) if 0 <= t <= n else 0
-    return _hr_lower(r, t), upper
+    return _hr_lower(r, t), calabi_hartnett_max(q, n, t)
 
 
 def unbalanced_lower_bound(n: int, r: int, t: int) -> int:
@@ -128,9 +127,11 @@ def unbalanced_lower_bound(n: int, r: int, t: int) -> int:
 def balanced_upper_bound(q: int, n: int, r: int, t: int) -> int:
     """Ball size of the balanced word with k = ceil(n / r): a cap for every r-run word.
 
-    Exact (not just a bound) when r divides n.
+    Exact (not just a bound) when r divides n; 0 outside 0 <= t <= n.
     """
     _check_params(q, n, r)
+    if not 0 <= t <= n:
+        return 0
     return ball_size(balanced_word(r, -(-n // r), q), t)
 
 
@@ -171,28 +172,25 @@ class BoundReport:
 
 
 def _reports(
-    q: int, n: int, r: int, t_values: Sequence[int], exact: list[int] | None
+    q: int, n: int, r: int, t_values: Sequence[int], exact_word: Word | None
 ) -> list[BoundReport]:
-    """Reports for each t in order; ``exact``, if given, is the exact column.
+    """Reports for each t in order; the exact column, if any, is exact_word's.
 
-    Each column is computed once for all t: one DP pass per witness word,
-    one run of Calabi-Hartnett rows per alphabet size.  Rows are cut at
-    the largest t requested.  Raises AssertionError if a bound contradicts
+    The request is checked before any DP.  Each column is computed once
+    for all t: one DP pass per witness word, one run of Calabi-Hartnett
+    rows cut at the largest t requested, which by Hirschberg's identity
+    also gives hr_upper.  Raises AssertionError if a bound contradicts
     the exact value.
     """
-    _check_params(q, n, r)
-    width = max(min(max(t_values, default=0), n), 0) + 1
+    _check_params(q, n, r, t_values)
+    exact = None if exact_word is None else ball_size_all(exact_word)
     new_lower = ball_size_all(unbalanced_binary_word(n, r))
     new_upper = ball_size_all(balanced_word(r, -(-n // r), q))
-    ch_upper = _calabi_hartnett_row(q, n, width)
-    hr_upper = [
-        _hr_upper(n, t, row)
-        for t, row in zip(range(width), _calabi_hartnett_rows(q - 1, width))
-    ]
+    ch_upper = _calabi_hartnett_row(q, n, max(t_values, default=0) + 1)
     reports = []
     for t in t_values:
         lev_lower, lev_upper = levenshtein_bounds(r, t)
-        exact_t = None if exact is None else _entry(exact, t)
+        exact_t = None if exact is None else exact[t]
         report = BoundReport(
             q=q,
             n=n,
@@ -201,17 +199,17 @@ def _reports(
             lev_lower=lev_lower,
             lev_upper=lev_upper,
             hr_lower=_hr_lower(r, t),
-            hr_upper=_entry(hr_upper, t),
-            ch_upper=_entry(ch_upper, t),
-            new_lower=_entry(new_lower, t),
-            new_upper=_entry(new_upper, t),
+            hr_upper=ch_upper[t],
+            ch_upper=ch_upper[t],
+            new_lower=new_lower[t],
+            new_upper=new_upper[t],
             exact=exact_t,
         )
         if exact_t is not None:
             for low in (report.lev_lower, report.hr_lower, report.new_lower):
                 if low > exact_t:
                     raise AssertionError(f"lower bound {low} exceeds exact {exact_t}: {report}")
-            for high in (report.lev_upper, report.hr_upper, report.ch_upper, report.new_upper):
+            for high in (report.lev_upper, report.ch_upper, report.new_upper):
                 if high < exact_t:
                     raise AssertionError(f"upper bound {high} below exact {exact_t}: {report}")
         reports.append(report)
@@ -223,8 +221,7 @@ def report_for_word(word: Word, t: int, with_exact: bool = True) -> BoundReport:
     r = encode_runs(word).run_count
     if r == 0:
         raise ValueError("no bounds for the empty word")
-    exact = ball_size_all(word) if with_exact else None
-    return _reports(word.alphabet_size, len(word), r, [t], exact)[0]
+    return _reports(word.alphabet_size, len(word), r, [t], word if with_exact else None)[0]
 
 
 def representative_word(q: int, n: int, r: int) -> Word:
@@ -250,5 +247,4 @@ def sweep_reports(
     The exact column, when requested, comes from a single DP pass over
     representative_word.
     """
-    exact = ball_size_all(representative_word(q, n, r)) if with_exact else None
-    return _reports(q, n, r, t_values, exact)
+    return _reports(q, n, r, t_values, representative_word(q, n, r) if with_exact else None)

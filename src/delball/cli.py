@@ -61,12 +61,6 @@ def _parse_t_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _check_t_range(t_lo: int, t_hi: int, n: int) -> None:
-    if not (0 <= t_lo and t_hi <= n):
-        shown = f"t={t_lo}" if t_lo == t_hi else f"t range {t_lo}..{t_hi}"
-        raise InputError(f"{shown} outside [0, n={n}]")
-
-
 def cmd_count(args: argparse.Namespace) -> int:
     try:
         word = _word_from_args(args)
@@ -101,7 +95,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     try:
         if args.exact and args.n > EXACT_DP_LIMIT:
             raise InputError(f"--exact supported only for n <= {EXACT_DP_LIMIT}")
-        _check_t_range(args.deletions, args.deletions, args.n)
         report = report_for_params(args.q, args.n, args.r, args.deletions, with_exact=args.exact)
     except (InputError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
@@ -141,9 +134,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         unknown = [c for c in columns if c not in COLUMN_ORDER]
         if unknown:
             raise InputError(f"unknown columns {unknown}; choose from {list(COLUMN_ORDER)}")
-        if not 1 <= args.r <= args.n:
-            raise InputError(f"need 1 <= r <= n, got r={args.r}, n={args.n}")
-        _check_t_range(t_lo, t_hi, args.n)
         if "exact" in columns and args.n > EXACT_DP_LIMIT:
             raise InputError(f"exact column supported only for n <= {EXACT_DP_LIMIT}")
         text = sweep_text(args.q, args.n, args.r, t_lo, t_hi, columns, args.format)

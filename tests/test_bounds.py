@@ -89,6 +89,9 @@ def test_balanced_upper_bound():
     assert balanced_upper_bound(4, 24, 6, 7) == ball_size(
         parse_word("000011112222333300001111"), 7
     )
+    # The padded witness word has 6 symbols, but t is counted against n = 5.
+    assert balanced_upper_bound(2, 5, 2, 6) == 0
+    assert balanced_upper_bound(2, 5, 2, -1) == 0
     with pytest.raises(ValueError):
         balanced_upper_bound(3, 4, 5, 1)
 
@@ -126,6 +129,14 @@ def test_report_errors():
         report_for_params(1, 4, 2, 1)
     with pytest.raises(ValueError):
         report_for_word(Word((), 2), 0)
+    for call in (
+        lambda: report_for_params(2, 5, 2, 6),
+        lambda: report_for_params(2, 5, 2, -1, with_exact=True),
+        lambda: sweep_reports(2, 5, 2, [0, 6]),
+        lambda: report_for_word(parse_word("0101"), 5),
+    ):
+        with pytest.raises(ValueError, match=r"outside \[0, n=\d+\]"):
+            call()
 
 
 def test_representative_word():

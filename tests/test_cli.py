@@ -153,10 +153,18 @@ def test_sweep_input_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "sweep", "--q", "2", "--n", "6", "--r", "2", "--t", "3..1")
     assert code == 2
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         capsys, "sweep", "--q", "2", "--n", "6", "--r", "2", "--t", "0..7"
     )
     assert code == 2
+    assert "outside [0, n=6]" in err
+    # bounds and sweep share the library's checks, so they fail alike.
+    bounds_code, _, bounds_err = run_cli(
+        capsys, "bounds", "--q", "2", "--n", "6", "--r", "7", "-t", "1"
+    )
+    code, _, err = run_cli(capsys, "sweep", "--q", "2", "--n", "6", "--r", "7", "--t", "0..1")
+    assert code == bounds_code == 2
+    assert err == bounds_err == "delball: need 1 <= r <= n, got r=7, n=6\n"
     code, _, _ = run_cli(
         capsys, "sweep", "--q", "2", "--n", "6", "--r", "2", "--t", "0..6", "--cols", "bogus"
     )
