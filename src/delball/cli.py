@@ -107,7 +107,7 @@ def sweep_text(
 ) -> str:
     """Deterministic CSV or JSON text for one sweep (rows in ascending t)."""
     ordered = [c for c in COLUMN_ORDER if c in columns]
-    reports = sweep_reports(q, n, r, list(range(t_lo, t_hi + 1)), with_exact="exact" in ordered)
+    reports = sweep_reports(q, n, r, range(t_lo, t_hi + 1), with_exact="exact" in ordered)
     if fmt == "csv":
         lines = ["t," + ",".join(ordered)]
         lines.extend(rep.csv_row(ordered) for rep in reports)

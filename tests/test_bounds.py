@@ -133,6 +133,7 @@ def test_report_errors():
         lambda: report_for_params(2, 5, 2, 6),
         lambda: report_for_params(2, 5, 2, -1, with_exact=True),
         lambda: sweep_reports(2, 5, 2, [0, 6]),
+        lambda: sweep_reports(2, 5, 2, range(10**12)),
         lambda: report_for_word(parse_word("0101"), 5),
     ):
         with pytest.raises(ValueError, match=r"outside \[0, n=\d+\]"):

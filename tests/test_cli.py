@@ -158,6 +158,11 @@ def test_sweep_input_errors(capsys):
     )
     assert code == 2
     assert "outside [0, n=6]" in err
+    # The range is checked lazily, so a huge one fails at once instead of filling memory.
+    for huge in ("0..1000000000000", "-1000000000000..3"):
+        code, _, err = run_cli(capsys, "sweep", "--q", "2", "--n", "6", "--r", "2", f"--t={huge}")
+        assert code == 2
+        assert "outside [0, n=6]" in err
     # bounds and sweep share the library's checks, so they fail alike.
     bounds_code, _, bounds_err = run_cli(
         capsys, "bounds", "--q", "2", "--n", "6", "--r", "7", "-t", "1"
