@@ -16,9 +16,11 @@ For a word with n symbols, r runs and alphabet q under t deletions:
   unit runs and one long run (relabel runs to binary, then unbalance).
 
 The last two are computed exactly, not from further closed forms: one DP
-pass on each witness word gives its whole column over t (the balanced
-word's closed form stays in ``balanced`` as an oracle).  With the
-bottom-up Calabi-Hartnett table, a report computes every column once.
+pass on each witness word gives its whole column over t, or, for a single
+t, only the band of lengths that reach n - t (the balanced word's closed
+form stays in ``balanced`` as an oracle).  The Calabi-Hartnett column
+comes from Hirschberg's identity, so its cost depends on the largest t
+requested, not on n.  A report computes every column once.
 Reports and sweeps raise ValueError for any t outside [0, n].
 """
 
@@ -86,9 +88,28 @@ def _calabi_hartnett_rows(q: int, width: int) -> Iterator[list[int]]:
         m += 1
 
 
-def _calabi_hartnett_row(q: int, n: int, width: int) -> list[int]:
-    """D(q, n, t) for 0 <= t < min(n + 1, width)."""
-    return next(islice(_calabi_hartnett_rows(q, width), n, None))
+def _calabi_hartnett_column(q: int, n: int, t_values: Sequence[int]) -> list[int]:
+    """D(q, n, t) for each t in t_values (all in [0, n]), by Hirschberg's identity.
+
+    D(q, n, t) = sum_i C(n-t, i) * D(q-1, t, t-i) reads only the (q-1)-ary
+    rows up to length t.  Walking them to the largest requested t costs
+    O(q * t^2) additions, each requested t adds O(t) products, and n
+    enters only through the binomials.  The identity needs q >= 2; with
+    one symbol there is one word and one subsequence of each length.
+    """
+    if q == 1:
+        return [1] * len(t_values)
+    wanted = set(t_values)
+    width = max(wanted, default=-1) + 1
+    found = {}
+    for t, row in enumerate(islice(_calabi_hartnett_rows(q - 1, width), width)):
+        if t in wanted:
+            total, c = 0, 1  # c = C(n-t, i)
+            for i in range(min(t, n - t) + 1):
+                total += c * row[t - i]
+                c = c * (n - t - i) // (i + 1)
+            found[t] = total
+    return [found[t] for t in t_values]
 
 
 def calabi_hartnett_max(q: int, n: int, t: int) -> int:
@@ -101,7 +122,7 @@ def calabi_hartnett_max(q: int, n: int, t: int) -> int:
         raise ValueError("need q >= 1")
     if t < 0 or t > n:
         return 0
-    return _calabi_hartnett_row(q, n, t + 1)[t]
+    return _calabi_hartnett_column(q, n, [t])[0]
 
 
 def _hr_lower(r: int, t: int) -> int:
@@ -112,7 +133,8 @@ def hirschberg_regnier_bounds(q: int, n: int, r: int, t: int) -> tuple[int, int]
     """(sum_i C(r-t, i), sum_i C(n-t, i) * D(q-1, t, t-i)) for i in [0, t].
 
     The upper sum equals D(q, n, t) by Hirschberg's identity (Hirschberg and
-    Regnier, CPM 2000), so it is returned as calabi_hartnett_max(q, n, t).
+    Regnier, CPM 2000), so it is returned as calabi_hartnett_max(q, n, t),
+    which evaluates that same sum.
     """
     if q < 2:
         raise ValueError("need q >= 2")
@@ -171,26 +193,37 @@ class BoundReport:
         return ",".join([str(self.t)] + [str(self.value(c)) for c in columns])
 
 
+def _ball_column(word: Word, t_values: Sequence[int]) -> list[int]:
+    """Ball sizes of ``word`` for each t in t_values, in order.
+
+    A single t takes ball_size's band, O(n) for t near 0 or n; several t
+    share one full DP row.
+    """
+    if len(t_values) == 1:
+        return [ball_size(word, t_values[0])]
+    sizes = ball_size_all(word)
+    return [sizes[t] for t in t_values]
+
+
 def _reports(
     q: int, n: int, r: int, t_values: Sequence[int], exact_word: Word | None
 ) -> list[BoundReport]:
     """Reports for each t in order; the exact column, if any, is exact_word's.
 
     The request is checked before any DP.  Each column is computed once
-    for all t: one DP pass per witness word, one run of Calabi-Hartnett
-    rows cut at the largest t requested, which by Hirschberg's identity
-    also gives hr_upper.  Raises AssertionError if a bound contradicts
-    the exact value.
+    for all t: one DP pass per witness word, one Calabi-Hartnett column,
+    which by Hirschberg's identity also gives hr_upper.  Raises AssertionError if a bound contradicts the
+    exact value.
     """
     _check_params(q, n, r, t_values)
-    exact = None if exact_word is None else ball_size_all(exact_word)
-    new_lower = ball_size_all(unbalanced_binary_word(n, r))
-    new_upper = ball_size_all(balanced_word(r, -(-n // r), q))
-    ch_upper = _calabi_hartnett_row(q, n, max(t_values, default=0) + 1)
+    exact = None if exact_word is None else _ball_column(exact_word, t_values)
+    new_lower = _ball_column(unbalanced_binary_word(n, r), t_values)
+    new_upper = _ball_column(balanced_word(r, -(-n // r), q), t_values)
+    ch_upper = _calabi_hartnett_column(q, n, t_values)
     reports = []
-    for t in t_values:
+    for i, t in enumerate(t_values):
         lev_lower, lev_upper = levenshtein_bounds(r, t)
-        exact_t = None if exact is None else exact[t]
+        exact_t = None if exact is None else exact[i]
         report = BoundReport(
             q=q,
             n=n,
@@ -199,10 +232,10 @@ def _reports(
             lev_lower=lev_lower,
             lev_upper=lev_upper,
             hr_lower=_hr_lower(r, t),
-            hr_upper=ch_upper[t],
-            ch_upper=ch_upper[t],
-            new_lower=new_lower[t],
-            new_upper=new_upper[t],
+            hr_upper=ch_upper[i],
+            ch_upper=ch_upper[i],
+            new_lower=new_lower[i],
+            new_upper=new_upper[i],
             exact=exact_t,
         )
         if exact_t is not None:

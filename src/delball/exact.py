@@ -11,7 +11,12 @@ Two independent routes compute the ball size:
   guard) once the number of candidate subsequences C(n, t) grows past a
   configurable limit, because every candidate is generated.
 * ``ball_size`` runs a distinct-subsequence dynamic program and is the
-  workhorse: O(n * n) big-integer operations, no enumeration.
+  workhorse.  It steps through the word one run at a time, and a run of
+  any length costs one pass over the row.  The row keeps only the lengths
+  that can still reach n - t, a band at most min(t, n - t) + 1 wide, so
+  one value costs about n + runs * min(t, n - t) big-integer operations:
+  O(n) at t = 1 or t = n - 1.  ``ball_size_all`` keeps every length,
+  about runs * n / 2 operations.
 
 ``canonical_ball_size`` is a third route, valid only for words whose run
 symbols increase cyclically; it recurses on the run-length vector alone.
@@ -20,7 +25,7 @@ symbols increase cyclically; it recurses on the run-length vector alone.
 from __future__ import annotations
 
 import os
-from itertools import combinations
+from itertools import accumulate, chain, combinations, groupby, repeat, zip_longest
 from math import comb
 
 from .words import Word
@@ -68,25 +73,65 @@ def enumerate_ball(word: Word, t: int, budget: int | None = None) -> set[Word]:
     return {Word(kept, q) for kept in combinations(symbols, keep)}
 
 
-def _distinct_subsequence_counts(word: Word) -> list[int]:
-    """counts[m] = number of distinct length-m subsequences of ``word``.
+def _distinct_subsequence_counts(word: Word, shortest: int, longest: int) -> list[int]:
+    """counts[j] = number of distinct length-(shortest + j) subsequences of ``word``.
 
-    Row update: appending position i turns every distinct length-(m-1)
-    subsequence of the prefix into a length-m one; strings already produced
-    the previous time this symbol was appended are subtracted via the row
-    snapshot taken just before that previous occurrence.
+    Covers the lengths shortest..longest, for 0 <= shortest <= longest <= n.
+
+    The row after a prefix counts its distinct subsequences by length.
+    Appending symbol a extends every length-(m-1) subsequence by a; those
+    extensions that already existed when a was last appended are the ones
+    counted by the row snapshot taken just before that occurrence.  So with
+    g = row - snapshot (g = row if a is new), one a adds g[m-1] to row[m],
+    and a run of x copies of a adds the window sum g[m-x] + ... + g[m-1],
+    read off one prefix sum of g.  The row before the run's last a, the
+    next snapshot for a, is the new row minus g[m-x].
+
+    Updates only move counts to longer lengths, so the row is cut at
+    ``longest``.  After i symbols a length below shortest - (n - i) cannot
+    reach ``shortest`` with the symbols left, so the row starts there
+    (``lo``) and entries below it are dropped.  A row or snapshot list ends
+    at its prefix length (or ``longest``); lengths past its end count 0.
     """
     n = len(word)
-    row = [1] + [0] * n
-    before_prev: dict[int, list[int]] = {}
-    for s in word.symbols:
-        old = row[:]
-        sub = before_prev.get(s)
-        for m in range(n, 0, -1):
-            gain = old[m - 1] - (sub[m - 1] if sub is not None else 0)
-            if gain:
-                row[m] = old[m] + gain
-        before_prev[s] = old
+    lo, row = 0, [1]  # row[j] counts the subsequences of length lo + j
+    before_last: dict[int, tuple[int, list[int]]] = {}  # a -> (lo, row) before a's last run
+    i = 0
+    for a, run in groupby(word.symbols):
+        x = len(list(run))
+        i += x
+        new_lo = max(0, shortest - (n - i))
+        top = min(i, longest)  # the new row covers lengths new_lo..top
+        prev = before_last.get(a)
+        if x == 1:
+            # new[m] = row[m] + row[m-1] - snapshot[m-1], for m >= new_lo
+            if new_lo:  # then lo = new_lo - 1
+                cur, down = row[1:], row[: top - lo]
+            else:
+                cur, down = row, [0, *row[:top]]
+            if prev is None:
+                new = [c + d for c, d in zip_longest(cur, down, fillvalue=0)]
+            else:
+                p_lo, p_row = prev
+                old = p_row[new_lo - 1 - p_lo : top - p_lo] if new_lo else [0, *p_row[:top]]
+                new = [c + d - b for c, d, b in zip_longest(cur, down, old, fillvalue=0)]
+            before_last[a] = (lo, row)
+        else:
+            # g over lengths start..top-1; below length 0 it is 0
+            start = new_lo - x
+            first = max(start, 0)  # = lo when start >= 0
+            gain = row[first - lo : top - lo]
+            if prev is not None:
+                p_lo, p_row = prev
+                old = p_row[first - p_lo : top - p_lo]
+                gain = [c - b for c, b in zip_longest(gain, old, fillvalue=0)]
+            g = [0] * (first - start) + gain
+            g += [0] * (top - start - len(g))
+            sums = list(accumulate(g, initial=0))
+            cur = chain(row[new_lo - lo :], repeat(0))
+            new = [c + s - e for c, e, s in zip(cur, sums, sums[x:])]
+            before_last[a] = (new_lo, [v - d for v, d in zip(new, g)])
+        lo, row = new_lo, new
     return row
 
 
@@ -95,13 +140,12 @@ def ball_size(word: Word, t: int) -> int:
     n = len(word)
     if t < 0 or t > n:
         return 0
-    return _distinct_subsequence_counts(word)[n - t]
+    return _distinct_subsequence_counts(word, n - t, n - t)[0]
 
 
 def ball_size_all(word: Word) -> list[int]:
     """Ball sizes for every t in [0, n], computed in a single DP pass."""
-    counts = _distinct_subsequence_counts(word)
-    return counts[::-1]
+    return _distinct_subsequence_counts(word, 0, len(word))[::-1]
 
 
 def canonical_ball_size(lengths: tuple[int, ...] | list[int], q: int, t: int) -> int:

@@ -40,6 +40,13 @@ def test_calabi_hartnett_examples():
     # identity D(q, n, t) = sum_i C(n-t, i) * D(q-1, t, t-i) gives the value.
     want = sum(comb(2995, i) * calabi_hartnett_max(2, 5, 5 - i) for i in range(6))
     assert calabi_hartnett_max(3, 3000, 5) == want
+    # D(3, n, 3) counts the words of length K = n - 3 over {0, 1, 2} with
+    # digit sum <= 3; walking all n rows would not finish at n = 10**9.
+    n = 10**9
+    k = n - 3
+    want = 1 + k + comb(k, 2) + k + comb(k, 3) + k * (k - 1)
+    assert calabi_hartnett_max(3, n, 3) == want
+    assert hirschberg_regnier_bounds(3, n, 2, 3)[1] == want
     with pytest.raises(ValueError):
         calabi_hartnett_max(0, 3, 1)
 
@@ -55,7 +62,7 @@ def test_calabi_hartnett_is_exhaustive_maximum():
 
 
 def test_calabi_hartnett_attained_by_cyclic_word():
-    for q in (2, 3, 4):
+    for q in (1, 2, 3, 4, 5):
         for n in range(0, 13):
             sizes = ball_size_all(cyclic_word(n, q))
             for t in range(0, n + 1):

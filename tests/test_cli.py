@@ -1,9 +1,11 @@
 import hashlib
 import json
+import random
 
+from delball.bounds import calabi_hartnett_max
 from delball.cli import main
 from delball.exact import ball_size, canonical_ball_size
-from delball.words import parse_word
+from delball.words import encode_runs, parse_word
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +216,29 @@ def test_bounds_and_sweep_at_large_n(capsys):
     for line in lines[1:]:
         row = dict(zip(header, line.split(",")))
         assert row["new_lower"] == row["new_upper"] == row["ch_upper"] == row["hr_upper"]
+
+
+def test_count_and_bounds_at_n3000(capsys):
+    # A full-width DP row costs n * n big-integer cells; these requests must
+    # only touch the lengths that reach n - t.
+    rng = random.Random(4)
+    word = "".join(rng.choice("012") for _ in range(3000))
+    code, out, _ = run_cli(capsys, "count", "--word", word, "-t", "1")
+    assert code == 0
+    assert out.strip() == str(encode_runs(parse_word(word)).run_count)
+
+    code, out, _ = run_cli(capsys, "bounds", "--q", "3", "--n", "3000", "--r", "3", "-t", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["new_lower"] == str(canonical_ball_size((1, 1, 2998), 2, 2)) == "3"
+    assert report["new_upper"] == str(canonical_ball_size((1000,) * 3, 3, 2)) == "6"
+
+    # With r = n both witnesses cycle through their alphabets.
+    code, out, _ = run_cli(capsys, "bounds", "--q", "3", "--n", "3000", "--r", "3000", "-t", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["new_upper"] == report["ch_upper"] == str(calabi_hartnett_max(3, 3000, 2))
+    assert report["new_lower"] == str(calabi_hartnett_max(2, 3000, 2))
 
 
 def test_sweep_unwritable_path_exit_4(capsys, tmp_path):

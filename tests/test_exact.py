@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delball.exact import (
     EnumerationBudgetError,
@@ -11,7 +13,7 @@ from delball.exact import (
     enumerate_ball,
     enumeration_budget,
 )
-from delball.words import Word, canonical_word, parse_word
+from delball.words import Word, canonical_word, encode_runs, parse_word
 
 
 def texts(ball):
@@ -92,6 +94,46 @@ def test_dp_equals_enumeration_random():
         word = Word(tuple(rng.randrange(q) for _ in range(n)), q)
         t = rng.randint(-1, n + 1)
         assert ball_size(word, t) == len(enumerate_ball(word, t))
+
+
+@st.composite
+def run_words(draw):
+    """Words of at most 12 symbols over q in 1..4, built from runs of length 1..6."""
+    q = draw(st.integers(1, 4))
+    runs = draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(1, 6)), max_size=12))
+    symbols = [a for a, x in runs for _ in range(x)][:12]
+    return Word(tuple(symbols), q)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(run_words())
+@example(Word((), 1))
+@example(Word((), 3))
+@example(Word((0,) * 12, 1))
+@example(Word((2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0), 3))
+def test_dp_equals_enumeration_property(word):
+    n = len(word)
+    sizes = ball_size_all(word)
+    assert len(sizes) == n + 1
+    for t in range(-1, n + 2):
+        expected = len(enumerate_ball(word, t))
+        assert ball_size(word, t) == expected
+        if 0 <= t <= n:
+            assert sizes[t] == expected
+
+
+def test_band_at_large_n():
+    # One deletion leaves one distinct word per run, n - 1 deletions one per
+    # symbol used.  A full-width row would take n * n cells here.
+    rng = random.Random(8)
+    n = 10**5
+    symbols = []
+    while len(symbols) < n:
+        symbols += [rng.randrange(3)] * rng.randint(1, 6)
+    word = Word(tuple(symbols[:n]), 5)
+    assert ball_size(word, 1) == encode_runs(word).run_count
+    assert ball_size(word, n - 1) == len(set(word.symbols)) == 3
+    assert ball_size(Word((0,) * n, 1), 1) == 1
 
 
 def test_canonical_ball_size_table_rows():
