@@ -16,21 +16,21 @@ For a word with n symbols, r runs and alphabet q under t deletions:
   unit runs and one long run (relabel runs to binary, then unbalance).
 
 The last two are computed exactly, not from further closed forms: one DP
-pass on each witness word gives its whole column over t, or, for a single
-t, only the band of lengths that reach n - t (the balanced word's closed
-form stays in ``balanced`` as an oracle).  The Calabi-Hartnett column
-comes from Hirschberg's identity, so its cost depends on the largest t
-requested, not on n.  A report computes every column once.
-Reports and sweeps raise ValueError for any t outside [0, n].
+pass on each witness word gives its column over the requested t, keeping
+only the band of lengths from n - max(t) to n - min(t) (the balanced
+word's closed form stays in ``balanced`` as an oracle).  The
+Calabi-Hartnett column comes from Hirschberg's identity, so its cost
+depends on the largest t requested, not on n.  A report computes every
+column once.  Reports and sweeps raise ValueError for any t outside
+[0, n].  A ``BoundReport`` is an immutable named tuple of the columns.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 from operator import add
-from typing import Iterable, Iterator, Sequence
 
 from .binomials import binomial
 from .exact import ball_size, ball_size_all
@@ -157,22 +157,19 @@ def balanced_upper_bound(q: int, n: int, r: int, t: int) -> int:
     return ball_size(balanced_word(r, -(-n // r), q), t)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Every bound (and optionally the exact value) for one word or parameter set."""
+class BoundReport(
+    namedtuple(
+        "BoundReport",
+        "q n r t lev_lower lev_upper hr_lower hr_upper ch_upper new_lower new_upper exact",
+        defaults=(None,),
+    )
+):
+    """Every bound (and optionally the exact value) for one word or parameter set.
 
-    q: int
-    n: int
-    r: int
-    t: int
-    lev_lower: int
-    lev_upper: int
-    hr_lower: int
-    hr_upper: int
-    ch_upper: int
-    new_lower: int
-    new_upper: int
-    exact: int | None = None
+    An immutable named tuple of ints; ``exact`` defaults to None.
+    """
+
+    __slots__ = ()
 
     def value(self, column: str) -> int | None:
         if column not in COLUMN_ORDER:
@@ -196,13 +193,12 @@ class BoundReport:
 def _ball_column(word: Word, t_values: Sequence[int]) -> list[int]:
     """Ball sizes of ``word`` for each t in t_values, in order.
 
-    A single t takes ball_size's band, O(n) for t near 0 or n; several t
-    share one full DP row.
+    One DP pass keeps only the band of lengths between n - max(t) and
+    n - min(t): O(n) for a narrow range of t near 0 or n.
     """
-    if len(t_values) == 1:
-        return [ball_size(word, t_values[0])]
-    sizes = ball_size_all(word)
-    return [sizes[t] for t in t_values]
+    t_min = min(t_values, default=0)
+    sizes = ball_size_all(word, t_min, max(t_values, default=0))
+    return [sizes[t - t_min] for t in t_values]
 
 
 def _reports(

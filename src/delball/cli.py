@@ -13,11 +13,9 @@ Exit codes: 0 success, 2 input error, 3 enumeration budget refusal,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
-from . import selftest
 from .bounds import COLUMN_ORDER, report_for_params, sweep_reports
 from .exact import EnumerationBudgetError, ball_size, canonical_ball_size, enumerate_ball
 from .ops import balancing_chain
@@ -98,6 +96,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         report = report_for_params(args.q, args.n, args.r, args.deletions, with_exact=args.exact)
     except (InputError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
+    import json
+
     print(json.dumps(report.to_json_dict(), indent=2))
     return EXIT_OK
 
@@ -112,6 +112,8 @@ def sweep_text(
         lines = ["t," + ",".join(ordered)]
         lines.extend(rep.csv_row(ordered) for rep in reports)
         return "\n".join(lines) + "\n"
+    import json
+
     payload = {
         "q": q,
         "n": n,
@@ -185,6 +187,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from . import selftest
+
     return selftest.run(args.scale)
 
 
@@ -206,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "enumerate", "dp", "canonical"),
         default="auto",
         help="auto/dp: dynamic program; enumerate: materialize the ball; "
-        "canonical: run-peeling recursion (canonical words only)",
+        "canonical: run-peeling recurrence (canonical words only)",
     )
     p.set_defaults(func=cmd_count)
 

@@ -15,16 +15,19 @@ Two independent routes compute the ball size:
   any length costs one pass over the row.  The row keeps only the lengths
   that can still reach n - t, a band at most min(t, n - t) + 1 wide, so
   one value costs about n + runs * min(t, n - t) big-integer operations:
-  O(n) at t = 1 or t = n - 1.  ``ball_size_all`` keeps every length,
-  about runs * n / 2 operations.
+  O(n) at t = 1 or t = n - 1.  ``ball_size_all`` keeps the lengths of a
+  range of t in one row, every length by default (about runs * n / 2
+  operations).
 
 ``canonical_ball_size`` is a third route, valid only for words whose run
-symbols increase cyclically; it recurses on the run-length vector alone.
+symbols increase cyclically; it fills a table over the suffixes of the
+run-length vector alone, from the last run backwards.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from itertools import accumulate, chain, combinations, groupby, repeat, zip_longest
 from math import comb
 
@@ -143,9 +146,18 @@ def ball_size(word: Word, t: int) -> int:
     return _distinct_subsequence_counts(word, n - t, n - t)[0]
 
 
-def ball_size_all(word: Word) -> list[int]:
-    """Ball sizes for every t in [0, n], computed in a single DP pass."""
-    return _distinct_subsequence_counts(word, 0, len(word))[::-1]
+def ball_size_all(word: Word, t_min: int = 0, t_max: int | None = None) -> list[int]:
+    """Ball sizes for t = t_min..t_max (default every t in [0, n]), in one DP pass.
+
+    Entry i is the size at t = t_min + i.  Only the lengths n - t_max to
+    n - t_min are kept in the DP row.  Raises ValueError unless
+    0 <= t_min <= t_max <= n.
+    """
+    n = len(word)
+    t_max = n if t_max is None else t_max
+    if not 0 <= t_min <= t_max <= n:
+        raise ValueError(f"need 0 <= t_min <= t_max <= n={n}, got t_min={t_min}, t_max={t_max}")
+    return _distinct_subsequence_counts(word, n - t_max, n - t_min)[::-1]
 
 
 def canonical_ball_size(lengths: tuple[int, ...] | list[int], q: int, t: int) -> int:
@@ -157,40 +169,53 @@ def canonical_ball_size(lengths: tuple[int, ...] | list[int], q: int, t: int) ->
     suffix profile with run j+1 shortened by one.  A trailing +1 accounts
     for subsequences erased entirely out of the first run when t > n - x_1.
     Equals ball_size on the decoded word for every t; only run lengths and
-    the alphabet size enter, so memoization keys on (lengths, t).
+    the alphabet size enter.
+
+    Peeling only ever reaches suffixes of the run vector, whole or with
+    their first run shortened by one, at t no larger than the one asked
+    for.  So the table is filled from the last run backwards, one column
+    over 0..t per suffix, keeping the shortened columns of the q - 1
+    suffixes after the current one.  Columns are prefix sums, so the i-sum
+    above is one difference.  Costs O(runs * q * t) operations, with no
+    recursion.
     """
     lengths = tuple(lengths)
     if q < 2:
         raise ValueError("canonical words need an alphabet of at least 2")
     if any(x < 1 for x in lengths):
         raise ValueError("run lengths must be positive")
-    memo: dict[tuple[tuple[int, ...], int], int] = {}
+    if not 0 <= t <= sum(lengths):
+        return 0
+    r = len(lengths)
 
-    def peel(xs: tuple[int, ...], t: int) -> int:
-        n = sum(xs)
-        if t < 0 or t > n:
-            return 0
-        if t == 0 or t == n:
-            return 1
-        key = (xs, t)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        r = len(xs)
-        q1 = min(r, q)
-        x1 = xs[0]
-        total = peel(xs[1:], t)
-        skipped = 0
-        for j in range(1, q1):
-            skipped += xs[j - 1]
-            sub = (xs[j] - 1,) + xs[j + 1 :]
-            if sub[0] == 0:
-                sub = sub[1:]
-            for i in range(x1):
-                total += peel(sub, t - skipped + i)
-        if t > n - x1:
-            total += 1
-        memo[key] = total
-        return total
+    def column(s: int, x1: int, n: int, rest: list[int]) -> list[int]:
+        """Prefix sums over u = 0..t of the ball sizes of the n-symbol suffix
+        from run s, run s cut to x1; ``rest`` is the column of the suffix after
+        run s, ``cut[j - 1]`` that of the suffix from run s + j, shortened."""
+        sizes = []
+        for u in range(t + 1):
+            if u > n:
+                size = 0
+            elif u == 0 or u == n:
+                size = 1
+            else:
+                size = rest[u + 1] - rest[u] + (u > n - x1)
+                skipped = x1
+                for j in range(1, min(r - s, q)):
+                    low = u - skipped
+                    if low + x1 > 0:
+                        size += cut[j - 1][low + x1] - cut[j - 1][max(low, 0)]
+                    skipped += lengths[s + j]
+            sizes.append(size)
+        return list(accumulate(sizes, initial=0))
 
-    return peel(lengths, t)
+    rest = [0] + [1] * (t + 1)  # the empty suffix
+    cut: deque[list[int]] = deque(maxlen=q - 1)
+    n = 0
+    for s in range(r - 1, -1, -1):
+        x = lengths[s]
+        n += x
+        shortened = column(s, x - 1, n - 1, rest) if x > 1 else rest
+        rest = column(s, x, n, rest)
+        cut.appendleft(shortened)
+    return rest[t + 1] - rest[t]

@@ -6,13 +6,14 @@ binary alphabet never increases it, permutations preserve it, and a
 balancing step (shifting one unit of length from a longer run to a
 shorter one across a symmetric inner segment) never decreases it.  The
 contracts are exercised by the test suite; the operations themselves only
-transform words.
+transform words.  A balancing chain is a list of ``ChainStep`` rows,
+immutable named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .exact import ball_size
 from .words import RunProfile, Word, canonical_profile, canonical_symbols, encode_runs
@@ -83,14 +84,14 @@ def balance_step(profile: RunProfile, p: int, s: int) -> RunProfile:
     return RunProfile(tuple(xs), profile.symbols, profile.alphabet_size)
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    """One row of a balancing chain: profile plus its ball size at the chain's t."""
+class ChainStep(namedtuple("ChainStep", "index profile ball_size sum_of_squares")):
+    """One row of a balancing chain: profile plus its ball size at the chain's t.
 
-    index: int
-    profile: RunProfile
-    ball_size: int
-    sum_of_squares: int
+    An immutable named tuple of ints and a RunProfile; its ``index`` field
+    replaces ``tuple.index``.
+    """
+
+    __slots__ = ()
 
 
 def _make_step(index: int, profile: RunProfile, t: int) -> ChainStep:

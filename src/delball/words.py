@@ -3,32 +3,37 @@
 Symbols are small integers in [0, q).  Text round-tripping uses the
 characters 0-9 then a-z, so words print unambiguously for q <= 36; the
 programmatic API has no alphabet limit.
+
+``Word`` and ``RunProfile`` are immutable named tuples that validate on
+construction (sequences of symbols or lengths are stored as tuples of
+ints): equal fields give equal, hashable values.  Plain named tuples load
+faster than dataclasses, which keeps the command line's start-up short.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 SYMBOL_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _CHAR_VALUES = {c: i for i, c in enumerate(SYMBOL_CHARS)}
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "symbols alphabet_size")):
     """An ordered tuple of symbols over the alphabet {0, ..., alphabet_size - 1}."""
 
-    symbols: tuple[int, ...]
-    alphabet_size: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(self.symbols))
+    def __new__(cls, symbols: tuple[int, ...], alphabet_size: int) -> Word:
+        self = super().__new__(cls, tuple(symbols), alphabet_size)
         if self.alphabet_size < 1:
             raise ValueError("alphabet size must be at least 1")
         for s in self.symbols:
             if not 0 <= s < self.alphabet_size:
                 raise ValueError(f"symbol {s!r} outside [0, {self.alphabet_size})")
+        return self
 
     def __len__(self) -> int:
+        """The number of symbols (not the number of tuple fields)."""
         return len(self.symbols)
 
     def text(self) -> str:
@@ -41,21 +46,19 @@ class Word:
             ) from None
 
 
-@dataclass(frozen=True)
-class RunProfile:
+class RunProfile(namedtuple("RunProfile", "lengths symbols alphabet_size")):
     """Run lengths and run symbols of a word; adjacent run symbols differ.
 
     Decodes back to the word whose i-th maximal constant block repeats
     symbols[i] exactly lengths[i] times.
     """
 
-    lengths: tuple[int, ...]
-    symbols: tuple[int, ...]
-    alphabet_size: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lengths", tuple(self.lengths))
-        object.__setattr__(self, "symbols", tuple(self.symbols))
+    def __new__(
+        cls, lengths: tuple[int, ...], symbols: tuple[int, ...], alphabet_size: int
+    ) -> RunProfile:
+        self = super().__new__(cls, tuple(lengths), tuple(symbols), alphabet_size)
         if self.alphabet_size < 1:
             raise ValueError("alphabet size must be at least 1")
         if len(self.lengths) != len(self.symbols):
@@ -69,6 +72,11 @@ class RunProfile:
         for a, b in zip(self.symbols, self.symbols[1:]):
             if a == b:
                 raise ValueError("adjacent runs carry the same symbol")
+        return self
+
+    def __len__(self) -> int:
+        """The number of symbols of the decoded word, like ``len(Word)``."""
+        return sum(self.lengths)
 
     @property
     def run_count(self) -> int:

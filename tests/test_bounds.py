@@ -8,6 +8,7 @@ import pytest
 
 from delball.balanced import BalancedBallCalculator, ball_closed
 from delball.bounds import (
+    BoundReport,
     balanced_upper_bound,
     calabi_hartnett_max,
     hirschberg_regnier_bounds,
@@ -224,3 +225,30 @@ def test_sweep_columns_match_oracles():
                     assert rep.hr_upper == hr_upper(q, n, t)
                     assert (rep.hr_lower, rep.hr_upper) == hirschberg_regnier_bounds(q, n, r, t)
                     assert (rep.lev_lower, rep.lev_upper) == levenshtein_bounds(r, t)
+
+
+def test_bound_report_value_contract():
+    fields = dict(
+        q=2, n=4, r=4, t=1, lev_lower=4, lev_upper=4, hr_lower=4,
+        hr_upper=4, ch_upper=4, new_lower=4, new_upper=4,
+    )
+    report = BoundReport(**fields)
+    assert report.exact is None
+    assert report == BoundReport(2, 4, 4, 1, 4, 4, 4, 4, 4, 4, 4, None)
+    assert report_for_params(2, 4, 4, 1) == report
+    assert repr(report) == (
+        "BoundReport(q=2, n=4, r=4, t=1, lev_lower=4, lev_upper=4, hr_lower=4, "
+        "hr_upper=4, ch_upper=4, new_lower=4, new_upper=4, exact=None)"
+    )
+    with_exact = BoundReport(**fields, exact=4)
+    assert with_exact == report_for_word(parse_word("0101"), 1)
+    assert with_exact != report
+    assert hash(report) == hash(BoundReport(**fields))
+    assert len({report, BoundReport(**fields), with_exact}) == 2
+    with pytest.raises(AttributeError):
+        report.t = 2
+    with pytest.raises(AttributeError):
+        report.extra = 1
+    with pytest.raises(ValueError) as info:
+        report.value("nope")
+    assert str(info.value) == "unknown column 'nope'"

@@ -1,7 +1,13 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import delball
+from delball import cli
 from delball.bounds import calabi_hartnett_max
 from delball.cli import main
 from delball.exact import ball_size, canonical_ball_size
@@ -241,6 +247,30 @@ def test_count_and_bounds_at_n3000(capsys):
     assert report["new_lower"] == str(calabi_hartnett_max(2, 3000, 2))
 
 
+def test_narrow_sweep_at_n4000(capsys):
+    # Two t near 0 need only the DP lengths n - 1 and n of each witness word.
+    code, out, _ = run_cli(capsys, "sweep", "--q", "2", "--n", "4000", "--r", "2000", "--t", "0..1")
+    assert code == 0
+    assert out == (
+        "t,lev_lower,lev_upper,hr_lower,hr_upper,ch_upper,new_lower,new_upper\n"
+        "0,1,1,1,1,1,1,1\n"
+        "1,2000,2000,2000,4000,4000,2000,2000\n"
+    )
+
+
+def test_count_canonical_at_3000_runs(capsys):
+    # The canonical peel once recursed once per run and overflowed the stack.
+    lengths = [1 + i % 2 for i in range(3000)]
+    runs = ",".join(map(str, lengths)) + ";" + ",".join(str(i % 3) for i in range(3000))
+    answers = []
+    for method in ("canonical", "dp"):
+        code, out, err = run_cli(capsys, "count", "--runs", runs, "--q", "3", "-t", "2", "--method", method)
+        assert (code, err) == (0, "")
+        answers.append(out)
+    assert answers[0] == answers[1]
+    assert int(answers[0]) > 3000
+
+
 def test_sweep_unwritable_path_exit_4(capsys, tmp_path):
     target = tmp_path / "missing" / "rows.csv"
     code, _, err = run_cli(
@@ -276,3 +306,38 @@ def test_selftest_small(capsys):
     assert code == 0
     assert "PASS  golden-chain-vectors" in out
     assert "FAIL" not in out
+
+
+def test_cli_import_footprint():
+    # A command-line launch should not load the oracles, the test suites or
+    # dataclasses (which pulls in inspect, ast and dis) before it needs them.
+    src = str(Path(delball.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import sys, delball.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'delball.balanced', 'delball.selftest') "
+        "if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
+
+    # Layer entry points that callers patch on the cli module.
+    for name in (
+        "parse_word", "parse_run_profile", "encode_runs", "ball_size", "sweep_reports", "balancing_chain",
+    ):
+        assert callable(getattr(cli, name))
+
+
+def test_package_exports_resolve_to_submodule_objects():
+    namespace = {}
+    exec("from delball import *", namespace)
+    assert sorted(delball.__all__) == delball.__all__ and len(delball.__all__) == 44
+    for name in delball.__all__:
+        value = namespace[name]
+        module = sys.modules[value.__module__]
+        assert module.__name__.startswith("delball.")
+        assert getattr(module, name) is value is getattr(delball, name)
+    assert delball.bounds is sys.modules["delball.bounds"]

@@ -75,6 +75,14 @@ def test_ball_size_all_matches_pointwise():
         assert len(sizes) == len(word) + 1
         for t in range(len(word) + 1):
             assert sizes[t] == ball_size(word, t)
+        t_min = rng.randint(0, len(word))
+        t_max = rng.randint(t_min, len(word))
+        assert ball_size_all(word, t_min, t_max) == sizes[t_min : t_max + 1]
+        assert ball_size_all(word, t_min) == sizes[t_min:]
+    word = parse_word("0110")
+    for t_min, t_max in ((-1, 2), (3, 2), (0, 5)):
+        with pytest.raises(ValueError, match=r"need 0 <= t_min <= t_max <= n=4"):
+            ball_size_all(word, t_min, t_max)
 
 
 def test_dp_equals_enumeration_exhaustive_binary():
@@ -133,6 +141,8 @@ def test_band_at_large_n():
     word = Word(tuple(symbols[:n]), 5)
     assert ball_size(word, 1) == encode_runs(word).run_count
     assert ball_size(word, n - 1) == len(set(word.symbols)) == 3
+    assert ball_size_all(word, 0, 1) == [1, encode_runs(word).run_count]
+    assert ball_size_all(word, n - 1, n) == [3, 1]
     assert ball_size(Word((0,) * n, 1), 1) == 1
 
 
@@ -140,6 +150,7 @@ def test_canonical_ball_size_table_rows():
     assert canonical_ball_size((6, 3, 1, 4, 4, 6), 3, 7) == 434
     assert canonical_ball_size((4, 3, 3, 4, 5, 5), 3, 7) == 625
     assert canonical_ball_size((7,), 4, 0) == 1
+    assert canonical_ball_size((), 3, 0) == 1
 
 
 def test_canonical_ball_size_validation():

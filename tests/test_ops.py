@@ -4,6 +4,7 @@ import pytest
 
 from delball.exact import ball_size, ball_size_all, enumerate_ball
 from delball.ops import (
+    ChainStep,
     apply_permutation,
     balance_step,
     balancing_chain,
@@ -135,3 +136,22 @@ def test_balancing_chain_errors():
 def test_balancing_chain_single_symbol_alphabet():
     chain = balancing_chain(Word((0, 0, 0), 1), 1)
     assert [step.ball_size for step in chain] == [1, 1]
+
+
+def test_chain_step_value_contract():
+    profile = RunProfile((1, 1), (0, 1), 2)
+    step = ChainStep(index=3, profile=profile, ball_size=2, sum_of_squares=2)
+    assert step == ChainStep(3, profile, 2, 2)
+    assert step.index == 3  # the field, not a method
+    assert (step.profile, step.ball_size, step.sum_of_squares) == (profile, 2, 2)
+    assert repr(step) == (
+        "ChainStep(index=3, profile=RunProfile(lengths=(1, 1), symbols=(0, 1), "
+        "alphabet_size=2), ball_size=2, sum_of_squares=2)"
+    )
+    assert hash(step) == hash(ChainStep(3, profile, 2, 2))
+    assert step != ChainStep(4, profile, 2, 2)
+    assert len({step, ChainStep(3, profile, 2, 2), ChainStep(4, profile, 2, 2)}) == 2
+    with pytest.raises(AttributeError):
+        step.index = 0
+    with pytest.raises(AttributeError):
+        step.extra = 1

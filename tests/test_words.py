@@ -139,3 +139,48 @@ def test_run_profile_text_round_trip():
         parse_run_profile("1,2,3")
     with pytest.raises(ValueError):
         parse_run_profile("1,x;0,1")
+
+
+def _message(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+def test_word_value_contract():
+    word = Word(symbols=[0, 1, 1], alphabet_size=2)
+    assert word == Word((0, 1, 1), 2)
+    assert word.symbols == (0, 1, 1) and type(word.symbols) is tuple
+    assert word.alphabet_size == 2 and len(word) == 3
+    assert repr(word) == "Word(symbols=(0, 1, 1), alphabet_size=2)"
+    assert hash(word) == hash(Word((0, 1, 1), 2))
+    assert word != Word((0, 1, 1), 3)
+    assert {word, Word((0, 1, 1), 2), Word((1,), 2)} == {word, Word((1,), 2)}
+    with pytest.raises(AttributeError):
+        word.symbols = (1,)
+    with pytest.raises(AttributeError):
+        word.extra = 1
+    assert _message(lambda: Word((), 0)) == "alphabet size must be at least 1"
+    assert _message(lambda: Word((0, 3), 3)) == "symbol 3 outside [0, 3)"
+    assert _message(lambda: Word((-1,), 2)) == "symbol -1 outside [0, 2)"
+
+
+def test_run_profile_value_contract():
+    profile = RunProfile(lengths=[1, 2], symbols=[0, 1], alphabet_size=2)
+    assert profile == RunProfile((1, 2), (0, 1), 2)
+    assert type(profile.lengths) is tuple and type(profile.symbols) is tuple
+    assert profile.alphabet_size == 2 and profile.run_count == 2 and profile.total_length == 3
+    assert len(profile) == 3 == len(profile.to_word())  # symbols, not tuple fields
+    assert repr(profile) == "RunProfile(lengths=(1, 2), symbols=(0, 1), alphabet_size=2)"
+    assert hash(profile) == hash(RunProfile((1, 2), (0, 1), 2))
+    assert profile != RunProfile((2, 1), (0, 1), 2)
+    assert len({profile, RunProfile((1, 2), (0, 1), 2)}) == 1
+    with pytest.raises(AttributeError):
+        profile.lengths = (3,)
+    with pytest.raises(AttributeError):
+        profile.extra = 1
+    assert _message(lambda: RunProfile((), (), 0)) == "alphabet size must be at least 1"
+    assert _message(lambda: RunProfile((1, 1), (0,), 2)) == "lengths and symbols must have equal count"
+    assert _message(lambda: RunProfile((0,), (0,), 2)) == "run length 0 is not positive"
+    assert _message(lambda: RunProfile((1,), (2,), 2)) == "run symbol 2 outside [0, 2)"
+    assert _message(lambda: RunProfile((1, 1), (0, 0), 2)) == "adjacent runs carry the same symbol"
