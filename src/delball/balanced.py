@@ -230,15 +230,20 @@ class BalancedBallCalculator:
             return self.tail_ball_recursive(r, t) + sum(
                 self.tail_ball_recursive(r - i, t - i * k) for i in range(1, q)
             )
-        key = (r, t)
-        cached = self._ball_rec.get(key)
+        cached = self._ball_rec.get((r, t))
         if cached is not None:
             self.memo_hits += 1
             return cached
-        self.memo_misses += 1
-        value = sum(self.ball_recursive(r - 1, t - i) for i in range(k + 1))
-        self._ball_rec[key] = value
-        return value
+        # Each term has one run fewer and at most t deletions: fill the memo
+        # bottom-up, as tail_ball_recursive does, so the stack stays shallow.
+        for r2 in range(1, r + 1):
+            for t2 in range(min(t, k * r2) + 1):
+                if (r2, t2) not in self._ball_rec:
+                    self.memo_misses += 1
+                    self._ball_rec[r2, t2] = sum(
+                        self.ball_recursive(r2 - 1, t2 - i) for i in range(k + 1)
+                    )
+        return self._ball_rec[r, t]
 
     def tail_ball_recursive(self, r: int, t: int) -> int:
         """|ball(balanced_tail_word(r, k, q), t)| by run-peeling recursion.
@@ -246,27 +251,36 @@ class BalancedBallCalculator:
         Three cases on t: outside [0, kr - 1] the ball is empty; in the top
         band [k(r-1), kr - 1] peeling consumes everything but one constant
         survivor; below the band the first run peels into shorter tails.
+        Every tail peeled into has fewer runs and at most t deletions, so
+        the memo is filled bottom-up, fewest runs first, over r' <= r and
+        t' <= t: each peel reads only stored entries, and the stack depth
+        stays the same whatever r is.
         """
-        k, q = self.k, self.q
-        if r <= 0 or t < 0 or t >= k * r:
+        if r <= 0 or t < 0 or t >= self.k * r:
             return 0
-        key = (r, t)
-        cached = self._tail_rec.get(key)
+        cached = self._tail_rec.get((r, t))
         if cached is not None:
             self.memo_hits += 1
             return cached
-        self.memo_misses += 1
+        for r2 in range(1, r + 1):
+            for t2 in range(min(t, self.k * r2 - 1) + 1):
+                if (r2, t2) not in self._tail_rec:
+                    self.memo_misses += 1
+                    self._tail_rec[r2, t2] = self._tail_peel(r2, t2)
+        return self._tail_rec[r, t]
+
+    def _tail_peel(self, r: int, t: int) -> int:
+        """The tail ball at (r, t), 0 <= t < kr, from the tails it peels into."""
+        k, q = self.k, self.q
         if t >= k * (r - 1):
             value = 1
         else:
             value = sum(self.tail_ball_recursive(r - 1 - j, t - j * k) for j in range(q))
-        value += sum(
+        return value + sum(
             self.tail_ball_recursive(r - j, t - j * k + i)
             for i in range(1, k)
             for j in range(1, q)
         )
-        self._tail_rec[key] = value
-        return value
 
     def tail_ball_closed(self, r: int, t: int) -> int:
         """Closed form for tail_ball_recursive: sum the expansion's survivors.

@@ -16,13 +16,15 @@ For a word with n symbols, r runs and alphabet q under t deletions:
   unit runs and one long run (relabel runs to binary, then unbalance).
 
 The last two are computed exactly, not from further closed forms: one DP
-pass on each witness word gives its column over the requested t, keeping
-only the band of lengths from n - max(t) to n - min(t) (the balanced
-word's closed form stays in ``balanced`` as an oracle).  The
-Calabi-Hartnett column comes from Hirschberg's identity, so its cost
-depends on the largest t requested, not on n.  A report computes every
-column once.  Reports and sweeps raise ValueError for any t outside
-[0, n].  A ``BoundReport`` is an immutable named tuple of the columns.
+pass on each witness's run profile gives its column over the requested t,
+keeping only the band of lengths from n - max(t) to n - min(t), at a cost
+that depends on r and t, not on n (the balanced word's closed form stays
+in ``balanced`` as an oracle).  The Calabi-Hartnett column comes from
+Hirschberg's identity, so its cost depends on the largest t requested,
+not on n; the Hirschberg-Regnier lower column is one walk up t.  A report
+computes every column once.  Reports and sweeps raise ValueError for any
+t outside [0, n].  A ``BoundReport`` is an immutable named tuple of the
+columns.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from operator import add
 
 from .binomials import binomial
 from .exact import ball_size, ball_size_all
-from .words import Word, balanced_word, canonical_word, encode_runs, unbalanced_binary_word
+from .words import RunProfile, Word, canonical_profile, encode_runs, unbalanced_profile
 
 COLUMN_ORDER = (
     "exact",
@@ -125,8 +127,29 @@ def calabi_hartnett_max(q: int, n: int, t: int) -> int:
     return _calabi_hartnett_column(q, n, [t])[0]
 
 
-def _hr_lower(r: int, t: int) -> int:
-    return sum(binomial(r - t, i) for i in range(t + 1))
+def _hr_lower_column(r: int, t_values: Sequence[int]) -> list[int]:
+    """sum_{i<=t} C(r-t, i) for each t in t_values, in one walk up t.
+
+    With m = r - t and S(m, t) = sum_{i<=t} C(m, i), Pascal's rule gives
+    S(m-1, t) = (S(m, t) + C(m-1, t)) / 2 and S(m-1, t+1) = S(m-1, t) +
+    C(m-1, t+1), so each step costs O(1) big-integer operations.  S vanishes
+    once m < 0, which ends the walk after at most r + 1 steps.
+    """
+    width = max(t_values, default=-1) + 1
+    column = []
+    s, c = 1, 1  # S(m, t) and C(m, t), starting at t = 0
+    for t in range(width):
+        m = r - t
+        if m < 0:
+            break
+        column.append(s)
+        if m == 0:
+            break
+        c = c * (m - t) // m  # C(m-1, t)
+        s = (s + c) // 2
+        c = c * (m - 1 - t) // (t + 1)  # C(m-1, t+1)
+        s += c
+    return [column[t] if 0 <= t < len(column) else 0 for t in t_values]
 
 
 def hirschberg_regnier_bounds(q: int, n: int, r: int, t: int) -> tuple[int, int]:
@@ -138,12 +161,12 @@ def hirschberg_regnier_bounds(q: int, n: int, r: int, t: int) -> tuple[int, int]
     """
     if q < 2:
         raise ValueError("need q >= 2")
-    return _hr_lower(r, t), calabi_hartnett_max(q, n, t)
+    return _hr_lower_column(r, [t])[0], calabi_hartnett_max(q, n, t)
 
 
 def unbalanced_lower_bound(n: int, r: int, t: int) -> int:
     """Ball size of unbalanced_binary_word(n, r): a floor for every r-run word."""
-    return ball_size(unbalanced_binary_word(n, r), t)
+    return ball_size(unbalanced_profile(n, r, 2), t)
 
 
 def balanced_upper_bound(q: int, n: int, r: int, t: int) -> int:
@@ -154,7 +177,7 @@ def balanced_upper_bound(q: int, n: int, r: int, t: int) -> int:
     _check_params(q, n, r)
     if not 0 <= t <= n:
         return 0
-    return ball_size(balanced_word(r, -(-n // r), q), t)
+    return ball_size(canonical_profile((-(-n // r),) * r, q), t)
 
 
 class BoundReport(
@@ -190,7 +213,7 @@ class BoundReport(
         return ",".join([str(self.t)] + [str(self.value(c)) for c in columns])
 
 
-def _ball_column(word: Word, t_values: Sequence[int]) -> list[int]:
+def _ball_column(word: Word | RunProfile, t_values: Sequence[int]) -> list[int]:
     """Ball sizes of ``word`` for each t in t_values, in order.
 
     One DP pass keeps only the band of lengths between n - max(t) and
@@ -202,20 +225,21 @@ def _ball_column(word: Word, t_values: Sequence[int]) -> list[int]:
 
 
 def _reports(
-    q: int, n: int, r: int, t_values: Sequence[int], exact_word: Word | None
+    q: int, n: int, r: int, t_values: Sequence[int], exact_word: Word | RunProfile | None
 ) -> list[BoundReport]:
     """Reports for each t in order; the exact column, if any, is exact_word's.
 
     The request is checked before any DP.  Each column is computed once
-    for all t: one DP pass per witness word, one Calabi-Hartnett column,
-    which by Hirschberg's identity also gives hr_upper.  Raises AssertionError if a bound contradicts the
-    exact value.
+    for all t: one DP pass per witness profile, one Calabi-Hartnett column,
+    which by Hirschberg's identity also gives hr_upper, and one walk for
+    hr_lower.  Raises AssertionError if a bound contradicts the exact value.
     """
     _check_params(q, n, r, t_values)
     exact = None if exact_word is None else _ball_column(exact_word, t_values)
-    new_lower = _ball_column(unbalanced_binary_word(n, r), t_values)
-    new_upper = _ball_column(balanced_word(r, -(-n // r), q), t_values)
+    new_lower = _ball_column(unbalanced_profile(n, r, 2), t_values)
+    new_upper = _ball_column(canonical_profile((-(-n // r),) * r, q), t_values)
     ch_upper = _calabi_hartnett_column(q, n, t_values)
+    hr_lower = _hr_lower_column(r, t_values)
     reports = []
     for i, t in enumerate(t_values):
         lev_lower, lev_upper = levenshtein_bounds(r, t)
@@ -227,7 +251,7 @@ def _reports(
             t=t,
             lev_lower=lev_lower,
             lev_upper=lev_upper,
-            hr_lower=_hr_lower(r, t),
+            hr_lower=hr_lower[i],
             hr_upper=ch_upper[i],
             ch_upper=ch_upper[i],
             new_lower=new_lower[i],
@@ -247,10 +271,11 @@ def _reports(
 
 def report_for_word(word: Word, t: int, with_exact: bool = True) -> BoundReport:
     """BoundReport for a concrete word; n, r, q are read off the word."""
-    r = encode_runs(word).run_count
+    profile = encode_runs(word)
+    r = profile.run_count
     if r == 0:
         raise ValueError("no bounds for the empty word")
-    return _reports(word.alphabet_size, len(word), r, [t], word if with_exact else None)[0]
+    return _reports(word.alphabet_size, len(word), r, [t], profile if with_exact else None)[0]
 
 
 def representative_word(q: int, n: int, r: int) -> Word:
@@ -260,7 +285,7 @@ def representative_word(q: int, n: int, r: int) -> Word:
     for r = 1 and for r = n it is the only run shape available.
     """
     _check_params(q, n, r)
-    return canonical_word((1,) * (r - 1) + (n - r + 1,), q)
+    return unbalanced_profile(n, r, q).to_word()
 
 
 def report_for_params(q: int, n: int, r: int, t: int, with_exact: bool = False) -> BoundReport:
@@ -274,6 +299,7 @@ def sweep_reports(
     """Reports for each t in order, every column computed once for all t.
 
     The exact column, when requested, comes from a single DP pass over
-    representative_word.
+    the run profile of representative_word.
     """
-    return _reports(q, n, r, t_values, representative_word(q, n, r) if with_exact else None)
+    _check_params(q, n, r)  # before the exact witness is built
+    return _reports(q, n, r, t_values, unbalanced_profile(n, r, q) if with_exact else None)

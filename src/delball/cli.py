@@ -6,8 +6,8 @@ Subcommands: ``count`` (exact ball sizes), ``bounds`` (one JSON report),
 strings everywhere; they overflow 64-bit integers long before the
 interesting parameter ranges.
 
-Exit codes: 0 success, 2 input error, 3 enumeration budget refusal,
-4 output I/O error.
+Exit codes: 0 success, 2 input error, 3 enumeration budget refusal or
+out of memory, 4 output I/O error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from .bounds import COLUMN_ORDER, report_for_params, sweep_reports
 from .exact import EnumerationBudgetError, ball_size, canonical_ball_size, enumerate_ball
 from .ops import balancing_chain
-from .words import Word, canonical_symbols, encode_runs, parse_run_profile, parse_word
+from .words import RunProfile, Word, canonical_symbols, encode_runs, parse_run_profile, parse_word
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -39,11 +39,10 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _word_from_args(args: argparse.Namespace) -> Word:
+def _word_from_args(args: argparse.Namespace) -> Word | RunProfile:
     if args.word is not None:
         return parse_word(args.word, args.q)
-    profile = parse_run_profile(args.runs, args.q)
-    return profile.to_word()
+    return parse_run_profile(args.runs, args.q)
 
 
 def _parse_t_range(text: str) -> tuple[int, int]:
@@ -165,7 +164,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
                 f"The padded balanced bound (k = ceil(n/r)) is still available via "
                 f"`delball bounds --q {word.alphabet_size} --n {n} --r {r} -t {args.deletions}`."
             )
-        chain = balancing_chain(word, args.deletions)
+        chain = balancing_chain(profile, args.deletions)
     except (InputError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     rows = [
@@ -251,7 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError:
+        return _fail("out of memory: the request is too large for this machine", EXIT_BUDGET)
 
 
 if __name__ == "__main__":

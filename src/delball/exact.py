@@ -11,12 +11,12 @@ Two independent routes compute the ball size:
   guard) once the number of candidate subsequences C(n, t) grows past a
   configurable limit, because every candidate is generated.
 * ``ball_size`` runs a distinct-subsequence dynamic program and is the
-  workhorse.  It steps through the word one run at a time, and a run of
-  any length costs one pass over the row.  The row keeps only the lengths
-  that can still reach n - t, a band at most min(t, n - t) + 1 wide, so
-  one value costs about n + runs * min(t, n - t) big-integer operations:
-  O(n) at t = 1 or t = n - 1.  ``ball_size_all`` keeps the lengths of a
-  range of t in one row, every length by default (about runs * n / 2
+  workhorse.  It takes a Word or its RunProfile, one pass over the row
+  per run of any length.  The row keeps only the lengths that can still
+  reach n - t, a band at most min(t, n - t) + 1 wide, so one value costs
+  about runs * min(t, n - t) big-integer operations whatever the run
+  lengths (plus O(n) to group a Word).  ``ball_size_all`` keeps the lengths
+  of a range of t in one row, every length by default (about runs * n / 2
   operations).
 
 ``canonical_ball_size`` is a third route, valid only for words whose run
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from itertools import accumulate, chain, combinations, groupby, repeat, zip_longest
+from itertools import accumulate, chain, combinations, repeat, zip_longest
 from math import comb
 
-from .words import Word
+from .words import RunProfile, Word, encode_runs
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 ENUM_BUDGET_ENV = "DELBALL_ENUM_BUDGET"
@@ -55,10 +55,11 @@ def enumeration_budget() -> int:
     return value
 
 
-def enumerate_ball(word: Word, t: int, budget: int | None = None) -> set[Word]:
+def enumerate_ball(word: Word | RunProfile, t: int, budget: int | None = None) -> set[Word]:
     """The set of distinct words reachable from ``word`` by exactly t deletions.
 
-    Raises EnumerationBudgetError when C(n, t) exceeds the budget.
+    Raises EnumerationBudgetError when C(n, t) exceeds the budget.  A
+    RunProfile is decoded to its word only once the budget admits it.
     """
     n = len(word)
     if t < 0 or t > n:
@@ -70,14 +71,14 @@ def enumerate_ball(word: Word, t: int, budget: int | None = None) -> set[Word]:
         raise EnumerationBudgetError(
             f"C({n}, {t}) = {candidates} candidate subsequences exceed budget {budget}"
         )
+    if isinstance(word, RunProfile):
+        word = word.to_word()
     q = word.alphabet_size
-    symbols = word.symbols
-    keep = n - t
-    return {Word(kept, q) for kept in combinations(symbols, keep)}
+    return {Word(kept, q) for kept in combinations(word.symbols, n - t)}
 
 
-def _distinct_subsequence_counts(word: Word, shortest: int, longest: int) -> list[int]:
-    """counts[j] = number of distinct length-(shortest + j) subsequences of ``word``.
+def _distinct_subsequence_counts(profile: RunProfile, shortest: int, longest: int) -> list[int]:
+    """counts[j] = number of distinct length-(shortest + j) subsequences of ``profile``.
 
     Covers the lengths shortest..longest, for 0 <= shortest <= longest <= n.
 
@@ -95,13 +96,14 @@ def _distinct_subsequence_counts(word: Word, shortest: int, longest: int) -> lis
     reach ``shortest`` with the symbols left, so the row starts there
     (``lo``) and entries below it are dropped.  A row or snapshot list ends
     at its prefix length (or ``longest``); lengths past its end count 0.
+    So g and its prefix sums are 0 below ``lo`` and constant past the row's
+    end; both are read lazily, so a run costs the row's width, not x.
     """
-    n = len(word)
+    n = len(profile)
     lo, row = 0, [1]  # row[j] counts the subsequences of length lo + j
     before_last: dict[int, tuple[int, list[int]]] = {}  # a -> (lo, row) before a's last run
     i = 0
-    for a, run in groupby(word.symbols):
-        x = len(list(run))
+    for x, a in zip(profile.lengths, profile.symbols):
         i += x
         new_lo = max(0, shortest - (n - i))
         top = min(i, longest)  # the new row covers lengths new_lo..top
@@ -120,33 +122,33 @@ def _distinct_subsequence_counts(word: Word, shortest: int, longest: int) -> lis
                 new = [c + d - b for c, d, b in zip_longest(cur, down, old, fillvalue=0)]
             before_last[a] = (lo, row)
         else:
-            # g over lengths start..top-1; below length 0 it is 0
-            start = new_lo - x
-            first = max(start, 0)  # = lo when start >= 0
-            gain = row[first - lo : top - lo]
+            pad = lo - (new_lo - x)  # the windows start at length new_lo - x <= lo
+            gain = row[: top - lo]  # g from length lo up
             if prev is not None:
                 p_lo, p_row = prev
-                old = p_row[first - p_lo : top - p_lo]
+                old = p_row[lo - p_lo : top - p_lo]
                 gain = [c - b for c, b in zip_longest(gain, old, fillvalue=0)]
-            g = [0] * (first - start) + gain
-            g += [0] * (top - start - len(g))
-            sums = list(accumulate(g, initial=0))
-            cur = chain(row[new_lo - lo :], repeat(0))
-            new = [c + s - e for c, e, s in zip(cur, sums, sums[x:])]
+            g = chain(repeat(0, pad), gain, repeat(0))  # g[m - x] for m = new_lo..top
+            sums = list(accumulate(gain, initial=0))  # sums[j] = g summed below lo + j
+            cur = row[new_lo - lo :]
+            cur += [0] * (top - new_lo + 1 - len(cur))  # row[m]
+            above = chain(sums[new_lo - lo :], repeat(sums[-1]))  # g summed below m
+            below = chain(repeat(0, pad), sums, repeat(sums[-1]))  # g summed below m - x
+            new = [c + s - e for c, s, e in zip(cur, above, below)]
             before_last[a] = (new_lo, [v - d for v, d in zip(new, g)])
         lo, row = new_lo, new
     return row
 
 
-def ball_size(word: Word, t: int) -> int:
+def ball_size(word: Word | RunProfile, t: int) -> int:
     """|ball(word, t)| by dynamic programming; 0 outside 0 <= t <= n."""
     n = len(word)
     if t < 0 or t > n:
         return 0
-    return _distinct_subsequence_counts(word, n - t, n - t)[0]
+    return _distinct_subsequence_counts(encode_runs(word), n - t, n - t)[0]
 
 
-def ball_size_all(word: Word, t_min: int = 0, t_max: int | None = None) -> list[int]:
+def ball_size_all(word: Word | RunProfile, t_min: int = 0, t_max: int | None = None) -> list[int]:
     """Ball sizes for t = t_min..t_max (default every t in [0, n]), in one DP pass.
 
     Entry i is the size at t = t_min + i.  Only the lengths n - t_max to
@@ -157,7 +159,7 @@ def ball_size_all(word: Word, t_min: int = 0, t_max: int | None = None) -> list[
     t_max = n if t_max is None else t_max
     if not 0 <= t_min <= t_max <= n:
         raise ValueError(f"need 0 <= t_min <= t_max <= n={n}, got t_min={t_min}, t_max={t_max}")
-    return _distinct_subsequence_counts(word, n - t_max, n - t_min)[::-1]
+    return _distinct_subsequence_counts(encode_runs(word), n - t_max, n - t_min)[::-1]
 
 
 def canonical_ball_size(lengths: tuple[int, ...] | list[int], q: int, t: int) -> int:

@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .exact import ball_size
-from .words import RunProfile, Word, canonical_profile, canonical_symbols, encode_runs
+from .words import RunProfile, Word, canonical_profile, canonical_word, encode_runs
 
 
 def insert_symbol(word: Word, position: int, symbol: int) -> Word:
@@ -39,23 +39,14 @@ def apply_permutation(word: Word, permutation: Sequence[int]) -> Word:
 
 def reduce_to_binary(word: Word) -> Word:
     """Keep the run lengths, relabel run symbols to alternate 0, 1."""
-    profile = encode_runs(word)
-    binary = tuple(i % 2 for i in range(profile.run_count))
-    if profile.run_count == 0:
-        return Word((), 2)
-    return RunProfile(profile.lengths, binary, 2).to_word()
+    return canonical_word(encode_runs(word).lengths, 2)
 
 
 def cyclicize(word: Word) -> Word:
     """Keep the run lengths, relabel run symbols to cycle 0, 1, ..., mod min(r, q)."""
-    profile = encode_runs(word)
-    if profile.run_count == 0:
+    if word.alphabet_size < 2 or not word.symbols:
         return word
-    if word.alphabet_size < 2:
-        return word
-    return RunProfile(
-        profile.lengths, canonical_symbols(profile.run_count, word.alphabet_size), word.alphabet_size
-    ).to_word()
+    return canonical_word(encode_runs(word).lengths, word.alphabet_size)
 
 
 def balance_step(profile: RunProfile, p: int, s: int) -> RunProfile:
@@ -98,7 +89,7 @@ def _make_step(index: int, profile: RunProfile, t: int) -> ChainStep:
     return ChainStep(
         index=index,
         profile=profile,
-        ball_size=ball_size(profile.to_word(), t),
+        ball_size=ball_size(profile, t),
         sum_of_squares=sum(x * x for x in profile.lengths),
     )
 
@@ -113,8 +104,8 @@ def _select_pair(lengths: tuple[int, ...]) -> tuple[int, int]:
     raise AssertionError("no unbalanced pair in an unbalanced profile")
 
 
-def balancing_chain(word: Word, t: int) -> list[ChainStep]:
-    """Transform ``word`` into the balanced word with the same run count.
+def balancing_chain(word: Word | RunProfile, t: int) -> list[ChainStep]:
+    """Transform ``word`` or its run profile into the balanced word with the same run count.
 
     Step 0 is the input, step 1 its cyclic relabeling; each later step
     applies one balance_step to the closest unbalanced pair until every

@@ -29,8 +29,7 @@ from .words import (
     RunProfile,
     Word,
     balanced_tail_word,
-    balanced_word,
-    canonical_word,
+    canonical_profile,
     cyclic_word,
     encode_runs,
     parse_word,
@@ -116,7 +115,7 @@ def check_triple_agreement(qs=(2, 3, 4, 5), rs=range(1, 9), ks=range(1, 5)) -> C
         for k in ks:
             calc = BalancedBallCalculator(k, q)
             for r in rs:
-                full = ball_size_all(balanced_word(r, k, q))
+                full = ball_size_all(canonical_profile((k,) * r, q))
                 tail_word = balanced_tail_word(r, k, q)
                 tail = ball_size_all(tail_word)
                 for t in range(0, r * k + 1):
@@ -200,8 +199,8 @@ def check_reversal(trials: int, seed: int) -> CheckResult:
     for _ in range(trials):
         q = rng.randint(2, 5)
         xs = random_lengths(rng)
-        fwd = ball_size_all(canonical_word(xs, q))
-        rev = ball_size_all(canonical_word(xs[::-1], q))
+        fwd = ball_size_all(canonical_profile(xs, q))
+        rev = ball_size_all(canonical_profile(xs[::-1], q))
         if fwd != rev:
             violations.append(f"lengths={xs} q={q}")
     return CheckResult("canonical-reversal", violations, f"{trials} trials")
@@ -213,7 +212,7 @@ def _canonical_lengths_ball(xs: tuple[int, ...], q: int, t: int) -> int:
         xs = xs[:-1]
     if not xs:
         return 1 if t == 0 else 0
-    return ball_size(canonical_word(xs, q), t)
+    return ball_size(canonical_profile(xs, q), t)
 
 
 def check_run_removal_identity(trials: int, seed: int) -> CheckResult:
@@ -257,7 +256,7 @@ def check_balanced_peel_identities(qs=(2, 3, 4, 5), ks=(1, 2, 3), rs=range(1, 8)
             return 1 if t == 0 else 0
         if t < 0 or t > r * k:
             return 0
-        return ball_size(balanced_word(r, k, q), t)
+        return ball_size(canonical_profile((k,) * r, q), t)
 
     def dp_tail(r: int, t: int, k: int, q: int) -> int:
         if r <= 0:
@@ -303,10 +302,10 @@ def check_balance_step(trials: int, seed: int) -> CheckResult:
         xs = tuple(lead + [pair[0]] + inner + [pair[1]] + trail)
         p = len(lead) + 1
         s = p + len(inner) + 1
-        profile = encode_runs(canonical_word(xs, q))
+        profile = canonical_profile(xs, q)
         stepped = balance_step(profile, p, s)
-        before = ball_size_all(profile.to_word())
-        after = ball_size_all(stepped.to_word())
+        before = ball_size_all(profile)
+        after = ball_size_all(stepped)
         if any(b > a for b, a in zip(before, after)):
             violations.append(f"xs={xs} q={q} p={p} s={s}")
     return CheckResult("balance-step-monotone", violations, f"{trials} trials")

@@ -8,11 +8,16 @@ programmatic API has no alphabet limit.
 construction (sequences of symbols or lengths are stored as tuples of
 ints): equal fields give equal, hashable values.  Plain named tuples load
 faster than dataclasses, which keeps the command line's start-up short.
+
+The DP and the bound witnesses work on run profiles, whatever the run
+lengths; ``to_word`` decodes n symbols only where a Word is the result or
+is printed (enumeration, the chain table, the word builders).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import groupby
 
 SYMBOL_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _CHAR_VALUES = {c: i for i, c in enumerate(SYMBOL_CHARS)}
@@ -101,17 +106,12 @@ class RunProfile(namedtuple("RunProfile", "lengths symbols alphabet_size")):
         )
 
 
-def encode_runs(word: Word) -> RunProfile:
-    """Split a word into maximal constant blocks (empty word -> empty profile)."""
-    lengths: list[int] = []
-    symbols: list[int] = []
-    for s in word.symbols:
-        if symbols and symbols[-1] == s:
-            lengths[-1] += 1
-        else:
-            symbols.append(s)
-            lengths.append(1)
-    return RunProfile(tuple(lengths), tuple(symbols), word.alphabet_size)
+def encode_runs(word: Word | RunProfile) -> RunProfile:
+    """Split a word into maximal constant blocks; a RunProfile is returned as it is."""
+    if isinstance(word, RunProfile):
+        return word
+    lengths = tuple(len(list(run)) for _, run in groupby(word.symbols))
+    return RunProfile(lengths, tuple(a for a, _ in groupby(word.symbols)), word.alphabet_size)
 
 
 def canonical_symbols(run_count: int, q: int) -> tuple[int, ...]:
@@ -146,17 +146,20 @@ def balanced_tail_word(r: int, k: int, q: int) -> Word:
     return Word(full.symbols[1:], q)
 
 
+def unbalanced_profile(n: int, r: int, q: int) -> RunProfile:
+    """Canonical profile with r - 1 runs of length 1, then one run of n - r + 1."""
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    return canonical_profile((1,) * (r - 1) + (n - r + 1,), q)
+
+
 def unbalanced_binary_word(n: int, r: int) -> Word:
     """Binary word with r runs: r - 1 runs of length 1, then one run of n - r + 1.
 
     Among all words with n symbols and r runs this one attains the smallest
     deletion ball, which is what makes it usable as a lower-bound witness.
     """
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    lengths = (1,) * (r - 1) + (n - r + 1,)
-    symbols = tuple(i % 2 for i in range(r))
-    return RunProfile(lengths, symbols, 2).to_word()
+    return unbalanced_profile(n, r, 2).to_word()
 
 
 def cyclic_word(n: int, q: int) -> Word:

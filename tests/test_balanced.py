@@ -243,3 +243,10 @@ def test_calculator_validation_and_stats():
     calc.ball_closed(5, 4)
     assert calc.memo_hits > 0
     assert 0.0 < calc.hit_rate < 1.0
+
+
+def test_recursion_depth_independent_of_run_count():
+    # Both recursions once went one stack frame deeper per run.
+    assert ball_recursive(1500, 2, 3, 3) == ball_size(balanced_word(1500, 2, 3), 3) == 563624000
+    assert ball_recursive(1500, 1, 3, 1600) == ball_size(balanced_word(1500, 1, 1600), 3)
+    assert tail_ball_recursive(1500, 2, 3, 3) == ball_size(balanced_tail_word(1500, 2, 3), 3)

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from delball.balanced import BalancedBallCalculator, ball_closed
+from delball.binomials import binomial
 from delball.bounds import (
     BoundReport,
     balanced_upper_bound,
@@ -80,6 +81,17 @@ def test_hirschberg_regnier_examples():
     assert hirschberg_regnier_bounds(3, 9, 3, 3)[0] == 1
     with pytest.raises(ValueError):
         hirschberg_regnier_bounds(1, 4, 2, 1)
+
+
+def test_hr_lower_column_matches_binomial_sums():
+    # The column walks Pascal's rule up t; its definition sums t + 1
+    # binomials for each t.
+    for r in range(1, 70):
+        n = r + 5
+        reports = sweep_reports(2, n, r, range(n + 1))
+        for rep in reports:
+            assert rep.hr_lower == sum(binomial(r - rep.t, i) for i in range(rep.t + 1))
+    assert [hirschberg_regnier_bounds(2, 9, 4, t)[0] for t in (-1, 0, 2, 4, 5, 9)] == [0, 1, 4, 1, 0, 0]
 
 
 def test_unbalanced_lower_bound():

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import delball
@@ -269,6 +270,46 @@ def test_count_canonical_at_3000_runs(capsys):
         answers.append(out)
     assert answers[0] == answers[1]
     assert int(answers[0]) > 3000
+
+
+def test_run_profiles_at_huge_n(capsys):
+    # As words these requests hold 10^8 or 3 * 10^7 symbols; as runs each is
+    # a few hundred DP operations.  canonical_ball_size costs O(runs * q * t)
+    # whatever the run lengths.
+    n = 10**8
+
+    def timed(*argv):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert time.perf_counter() - started < 2.0
+        return out
+
+    out = timed("count", "--runs", "50000000,50000000;0,1", "-t", "1")
+    assert out == f"{canonical_ball_size((n // 2, n // 2), 2, 1)}\n" == "2\n"
+
+    report = json.loads(timed("bounds", "--q", "3", "--n", str(n), "--r", "5", "-t", "2"))
+    assert report["new_lower"] == str(canonical_ball_size((1, 1, 1, 1, n - 4), 2, 2)) == "8"
+    assert report["new_upper"] == str(canonical_ball_size((n // 5,) * 5, 3, 2)) == "15"
+    assert report["ch_upper"] == report["hr_upper"] == "4999999950000000"
+    assert (report["lev_lower"], report["lev_upper"], report["hr_lower"]) == ("6", "15", "7")
+
+    n = 3 * 10**7
+    lines = timed("sweep", "--q", "2", "--n", str(n), "--r", "2", "--t", "0..1").split()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [row["new_lower"] for row in rows] == [str(canonical_ball_size((1, n - 1), 2, t)) for t in (0, 1)]
+    assert [row["new_upper"] for row in rows] == [str(canonical_ball_size((n // 2,) * 2, 2, t)) for t in (0, 1)]
+    assert [row["new_upper"] for row in rows] == ["1", "2"]
+
+
+def test_memory_error_exit_3(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "ball_size", exhausted)
+    code, out, err = run_cli(capsys, "count", "--word", "0101", "-t", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("delball: out of memory") and err.count("\n") == 1
 
 
 def test_sweep_unwritable_path_exit_4(capsys, tmp_path):

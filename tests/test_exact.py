@@ -13,7 +13,7 @@ from delball.exact import (
     enumerate_ball,
     enumeration_budget,
 )
-from delball.words import Word, canonical_word, encode_runs, parse_word
+from delball.words import RunProfile, Word, canonical_profile, canonical_word, encode_runs, parse_word
 
 
 def texts(ball):
@@ -121,11 +121,14 @@ def run_words(draw):
 @example(Word((2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0), 3))
 def test_dp_equals_enumeration_property(word):
     n = len(word)
+    profile = encode_runs(word)
     sizes = ball_size_all(word)
     assert len(sizes) == n + 1
+    assert ball_size_all(profile) == sizes
     for t in range(-1, n + 2):
         expected = len(enumerate_ball(word, t))
-        assert ball_size(word, t) == expected
+        assert ball_size(word, t) == ball_size(profile, t) == expected
+        assert enumerate_ball(profile, t) == enumerate_ball(word, t)
         if 0 <= t <= n:
             assert sizes[t] == expected
 
@@ -144,6 +147,31 @@ def test_band_at_large_n():
     assert ball_size_all(word, 0, 1) == [1, encode_runs(word).run_count]
     assert ball_size_all(word, n - 1, n) == [3, 1]
     assert ball_size(Word((0,) * n, 1), 1) == 1
+
+
+def test_runs_far_longer_than_the_band():
+    # A run costs the width of the DP row, not its length: as words these
+    # profiles would hold up to tens of millions of symbols.
+    rng = random.Random(9)
+    for _ in range(30):
+        q = rng.randint(2, 4)
+        lengths = tuple(
+            rng.choice((1, 2, rng.randint(3, 10**7))) for _ in range(rng.randint(1, 7))
+        )
+        profile = canonical_profile(lengths, q)
+        expected = [canonical_ball_size(lengths, q, t) for t in range(5)]
+        assert [ball_size(profile, t) for t in range(5)] == expected
+        if len(profile) >= 4:
+            assert ball_size_all(profile, 0, 4) == expected
+
+    # 0^a 1^b keeps 0^i 1^(s-i) for max(0, s - b) <= i <= min(a, s).
+    for a, b in ((10**7, 3), (3, 10**7), (10**7, 10**7 + 1), (5, 9)):
+        profile = RunProfile((a, b), (0, 1), 2)
+        n = a + b
+        ts = [*range(7), *range(n - 6, n + 1)]
+        expected = [min(a, n - t) - max(0, n - t - b) + 1 for t in ts]
+        assert [ball_size(profile, t) for t in ts] == expected
+        assert ball_size_all(profile, 0, 6) + ball_size_all(profile, n - 6, n) == expected
 
 
 def test_canonical_ball_size_table_rows():
