@@ -28,6 +28,7 @@ composition_count(0, 0, k) = 1.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import factorial
 
@@ -230,20 +231,7 @@ class BalancedBallCalculator:
             return self.tail_ball_recursive(r, t) + sum(
                 self.tail_ball_recursive(r - i, t - i * k) for i in range(1, q)
             )
-        cached = self._ball_rec.get((r, t))
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        # Each term has one run fewer and at most t deletions: fill the memo
-        # bottom-up, as tail_ball_recursive does, so the stack stays shallow.
-        for r2 in range(1, r + 1):
-            for t2 in range(min(t, k * r2) + 1):
-                if (r2, t2) not in self._ball_rec:
-                    self.memo_misses += 1
-                    self._ball_rec[r2, t2] = sum(
-                        self.ball_recursive(r2 - 1, t2 - i) for i in range(k + 1)
-                    )
-        return self._ball_rec[r, t]
+        return self._window_fill(self._ball_rec, self.ball_recursive, r, t)
 
     def tail_ball_recursive(self, r: int, t: int) -> int:
         """|ball(balanced_tail_word(r, k, q), t)| by run-peeling recursion.
@@ -306,15 +294,26 @@ class BalancedBallCalculator:
             return self.tail_ball_closed(r, t) + sum(
                 self.tail_ball_closed(r - i, t - i * k) for i in range(1, q)
             )
-        key = (r, t)
-        cached = self._ball_closed.get(key)
+        return self._window_fill(self._ball_closed, self.ball_closed, r, t)
+
+    def _window_fill(
+        self, memo: dict[tuple[int, int], int], ball: Callable[[int, int], int], r: int, t: int
+    ) -> int:
+        """ball(r, t) = sum_{i<=k} ball(r-1, t-i) for r <= q (distinct run symbols).
+
+        ``memo`` is filled bottom-up, fewest runs first, so the stack stays
+        shallow whatever r is; ``ball`` is the method that owns ``memo``.
+        """
+        cached = memo.get((r, t))
         if cached is not None:
             self.memo_hits += 1
             return cached
-        self.memo_misses += 1
-        value = sum(self.ball_closed(r - 1, t - i) for i in range(k + 1))
-        self._ball_closed[key] = value
-        return value
+        for r2 in range(1, r + 1):
+            for t2 in range(min(t, self.k * r2) + 1):
+                if (r2, t2) not in memo:
+                    self.memo_misses += 1
+                    memo[r2, t2] = sum(ball(r2 - 1, t2 - i) for i in range(self.k + 1))
+        return memo[r, t]
 
     def sequence_count(self, run_drop: int, del_drop: int) -> int:
         """Memoized sequence_count(q, k, run_drop, del_drop)."""

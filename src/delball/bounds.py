@@ -5,7 +5,9 @@ For a word with n symbols, r runs and alphabet q under t deletions:
 * Levenshtein run bounds:   C(r-t+1, t) <= |ball| <= C(r+t-1, t).
 * Calabi-Hartnett maximum:  |ball| <= D(q, n, t), the ball size of the
   length-n word cycling through all q symbols, which maximizes |ball|
-  over the whole of the length-n alphabet-q space.
+  over the whole of the length-n alphabet-q space.  A subsequence of that
+  word is fixed by the n - t gaps of its leftmost embedding, each in
+  [0, q-1], summing to at most t, which gives D in closed form.
 * Hirschberg-Regnier:       sum C(r-t, i) <= |ball|
                             <= sum C(n-t, i) * D(q-1, t, t-i).
   By Hirschberg's identity the upper sum equals D(q, n, t), so it is
@@ -19,20 +21,17 @@ The last two are computed exactly, not from further closed forms: one DP
 pass on each witness's run profile gives its column over the requested t,
 keeping only the band of lengths from n - max(t) to n - min(t), at a cost
 that depends on r and t, not on n (the balanced word's closed form stays
-in ``balanced`` as an oracle).  The Calabi-Hartnett column comes from
-Hirschberg's identity, so its cost depends on the largest t requested,
-not on n; the Hirschberg-Regnier lower column is one walk up t.  A report
-computes every column once.  Reports and sweeps raise ValueError for any
-t outside [0, n].  A ``BoundReport`` is an immutable named tuple of the
-columns.
+in ``balanced`` as an oracle).  The Calabi-Hartnett and Hirschberg-Regnier
+lower columns are each one walk up t, at a cost that depends on t, not on
+n.  A report computes every column once.  Reports and sweeps raise
+ValueError for any t outside [0, n].  A ``BoundReport`` is an immutable
+named tuple of the columns.
 """
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import islice
-from operator import add
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .binomials import binomial
 from .exact import ball_size, ball_size_all
@@ -65,53 +64,49 @@ def levenshtein_bounds(r: int, t: int) -> tuple[int, int]:
     return binomial(r - t + 1, t), binomial(r + t - 1, t)
 
 
-def _calabi_hartnett_rows(q: int, width: int) -> Iterator[list[int]]:
-    """Rows m = 0, 1, 2, ... of D(q, m, t), each cut to the entries t < width.
-
-    D splits on which symbol a subsequence starts with: keeping the first
-    occurrence of symbol i discards i earlier symbols, so
-    D(q, m, t) = sum_{i<q} D(q, m-i-1, t-i), with 1 at t = 0 (the word
-    itself) and at t = m (the empty subsequence), 0 outside [0, m].  Row m
-    is the sum of the q rows before it, row m-1-i shifted right by i.  No
-    entry depends on a larger t, so cutting every row to ``width`` is exact.
-    """
-    recent: deque[list[int]] = deque(maxlen=q)  # rows m-1, m-2, ..., m-q
-    m = 0
-    while True:
-        row = [0] * min(m + 1, width)
-        for i, prev in enumerate(recent):
-            end = min(len(prev) + i, len(row))
-            row[i:end] = map(add, row[i:end], prev)
-        row[0] = 1
-        if m < width:
-            row[m] = 1
-        yield row
-        recent.appendleft(row)
-        m += 1
-
-
 def _calabi_hartnett_column(q: int, n: int, t_values: Sequence[int]) -> list[int]:
-    """D(q, n, t) for each t in t_values (all in [0, n]), by Hirschberg's identity.
+    """D(q, n, t) for each t in t_values (all in [0, n]), in one walk up t.
 
-    D(q, n, t) = sum_i C(n-t, i) * D(q-1, t, t-i) reads only the (q-1)-ary
-    rows up to length t.  Walking them to the largest requested t costs
-    O(q * t^2) additions, each requested t adds O(t) products, and n
-    enters only through the binomials.  The identity needs q >= 2; with
-    one symbol there is one word and one subsequence of each length.
+    A length-m subsequence of the word cycling through all q symbols is
+    fixed by the m gaps of its leftmost embedding (the first one before the
+    first kept symbol), each in [0, q-1], summing to at most t = n - m.
+    Inclusion-exclusion over the j gaps that overflow gives
+    D(q, n, t) = sum_{j <= t/q} (-1)^j * C(m, j) * C(n - jq, m).  From t to
+    t + 1, term j gains the exact factor (m - j) / (t + 1 - jq), and when q
+    divides t + 1 the term j = (t + 1) / q joins as (-1)^j * C(m - 1, j).
+    So a column costs O(t^2 / q) big-integer operations, whatever n is.
+    For q = 2 the sum is sum_{i <= t} C(n - t, i), walked at O(1) per t.
+    By Hirschberg's identity the column is also the Hirschberg-Regnier
+    upper sum, so it serves hr_upper as well as ch_upper.
     """
     if q == 1:
         return [1] * len(t_values)
+    if q == 2:
+        return _hr_lower_column(n, t_values)
     wanted = set(t_values)
-    width = max(wanted, default=-1) + 1
+    if not wanted:
+        return []
+    t, t_max = min(wanted), max(wanted)
+    m = n - t
+    b, c = binomial(n, m), 1  # C(n - jq, m) and C(m, j), from j = 0
+    terms = [b]
+    for j in range(1, t // q + 1):
+        c = c * (m - j + 1) // j
+        for top in range(n - (j - 1) * q, n - j * q, -1):
+            b = b * (top - m) // top
+        terms.append(-c * b if j % 2 else c * b)
     found = {}
-    for t, row in enumerate(islice(_calabi_hartnett_rows(q - 1, width), width)):
+    while True:
         if t in wanted:
-            total, c = 0, 1  # c = C(n-t, i)
-            for i in range(min(t, n - t) + 1):
-                total += c * row[t - i]
-                c = c * (n - t - i) // (i + 1)
-            found[t] = total
-    return [found[t] for t in t_values]
+            found[t] = sum(terms)
+        if t == t_max:
+            return [found[t] for t in t_values]
+        t += 1
+        terms = [x * (m - j) // (t - j * q) for j, x in enumerate(terms)]
+        m -= 1
+        if t % q == 0:
+            j = t // q
+            terms.append(-binomial(m, j) if j % 2 else binomial(m, j))
 
 
 def calabi_hartnett_max(q: int, n: int, t: int) -> int:
@@ -157,7 +152,8 @@ def hirschberg_regnier_bounds(q: int, n: int, r: int, t: int) -> tuple[int, int]
 
     The upper sum equals D(q, n, t) by Hirschberg's identity (Hirschberg and
     Regnier, CPM 2000), so it is returned as calabi_hartnett_max(q, n, t),
-    which evaluates that same sum.
+    which counts the gap vectors of the cycling word's subsequences in
+    closed form.
     """
     if q < 2:
         raise ValueError("need q >= 2")

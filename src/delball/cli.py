@@ -3,8 +3,8 @@
 Subcommands: ``count`` (exact ball sizes), ``bounds`` (one JSON report),
 ``sweep`` (CSV/JSON over a range of t), ``chain`` (balancing chain table),
 ``selftest`` (verification suites).  Ball counts are printed as decimal
-strings everywhere; they overflow 64-bit integers long before the
-interesting parameter ranges.
+strings everywhere, whatever their number of digits; they overflow 64-bit
+integers long before the interesting parameter ranges.
 
 Exit codes: 0 success, 2 input error, 3 enumeration budget refusal or
 out of memory, 4 output I/O error.
@@ -25,9 +25,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
-
-# Largest n for which the exact DP column is offered in reports and sweeps.
-EXACT_DP_LIMIT = 512
 
 
 class InputError(Exception):
@@ -90,10 +87,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     try:
-        if args.exact and args.n > EXACT_DP_LIMIT:
-            raise InputError(f"--exact supported only for n <= {EXACT_DP_LIMIT}")
         report = report_for_params(args.q, args.n, args.r, args.deletions, with_exact=args.exact)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
     import json
 
@@ -135,8 +130,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         unknown = [c for c in columns if c not in COLUMN_ORDER]
         if unknown:
             raise InputError(f"unknown columns {unknown}; choose from {list(COLUMN_ORDER)}")
-        if "exact" in columns and args.n > EXACT_DP_LIMIT:
-            raise InputError(f"exact column supported only for n <= {EXACT_DP_LIMIT}")
         text = sweep_text(args.q, args.n, args.r, t_lo, t_hi, columns, args.format)
     except (InputError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
@@ -250,6 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.11 and 3.10.7+ cap int -> str at 4300 digits
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except MemoryError:

@@ -249,4 +249,5 @@ def test_recursion_depth_independent_of_run_count():
     # Both recursions once went one stack frame deeper per run.
     assert ball_recursive(1500, 2, 3, 3) == ball_size(balanced_word(1500, 2, 3), 3) == 563624000
     assert ball_recursive(1500, 1, 3, 1600) == ball_size(balanced_word(1500, 1, 1600), 3)
+    assert ball_closed(1500, 1, 3, 1600) == 561375500
     assert tail_ball_recursive(1500, 2, 3, 3) == ball_size(balanced_tail_word(1500, 2, 3), 3)

@@ -1,15 +1,18 @@
 import json
 import random
+import time
 from functools import lru_cache
 from itertools import product
 from math import comb
 
 import pytest
 
-from delball.balanced import BalancedBallCalculator, ball_closed
+from delball.balanced import BalancedBallCalculator, ball_closed, composition_count
 from delball.binomials import binomial
 from delball.bounds import (
     BoundReport,
+    _calabi_hartnett_column,
+    _hr_lower_column,
     balanced_upper_bound,
     calabi_hartnett_max,
     hirschberg_regnier_bounds,
@@ -64,11 +67,47 @@ def test_calabi_hartnett_is_exhaustive_maximum():
 
 
 def test_calabi_hartnett_attained_by_cyclic_word():
-    for q in (1, 2, 3, 4, 5):
-        for n in range(0, 13):
+    for q in range(1, 8):
+        for n in range(0, 41):
             sizes = ball_size_all(cyclic_word(n, q))
-            for t in range(0, n + 1):
-                assert sizes[t] == calabi_hartnett_max(q, n, t)
+            assert [calabi_hartnett_max(q, n, t) for t in range(n + 1)] == sizes
+            # The column walks up t from its smallest t, in any request order.
+            assert _calabi_hartnett_column(q, n, range(n + 1)) == sizes
+            assert _calabi_hartnett_column(q, n, range(n, -1, -1)) == sizes[::-1]
+            repeats = [n // 2, 0, n, n // 2, n // 3]
+            assert _calabi_hartnett_column(q, n, repeats) == [sizes[t] for t in repeats]
+            assert _calabi_hartnett_column(q, n, []) == []
+
+
+def test_calabi_hartnett_column_matches_gap_count():
+    # D(q, n, t) counts the n - t gaps in [0, q-1] summing to at most t
+    # (and so to at most (n - t)(q - 1)).
+    def gap_count(q, n, t):
+        return sum(composition_count(n - t, e, q) for e in range(min(t, (n - t) * (q - 1)) + 1))
+
+    for q in (3, 5, 7):
+        for n in (300, 2000):
+            ts = [0, 1, q - 1, q, 2 * q + 1, 97, 250, n - 2, n]
+            want = [gap_count(q, n, t) for t in ts]
+            assert _calabi_hartnett_column(q, n, ts) == want
+            assert [calabi_hartnett_max(q, n, t) for t in ts[-3:]] == want[-3:]
+
+
+def test_binary_calabi_hartnett_is_hr_lower_sum():
+    # With q = 2 the gaps are 0 or 1, so D(2, r, t) = sum_{i<=t} C(r-t, i).
+    for r in range(0, 60):
+        ts = list(range(r + 1))
+        column = _hr_lower_column(r, ts)
+        assert column == [calabi_hartnett_max(2, r, t) for t in ts]
+        assert column == [sum(composition_count(r - t, e, 2) for e in range(t + 1)) for t in ts]
+
+
+def test_calabi_hartnett_max_is_fast_at_large_t():
+    # The (q-1)-ary row recurrence this replaced took about 11 s on a 2-vCPU host.
+    start = time.perf_counter()
+    value = calabi_hartnett_max(5, 10**5, 5000)
+    assert time.perf_counter() - start < 2
+    assert value == _calabi_hartnett_column(5, 10**5, [4999, 5000])[1]
 
 
 def test_hirschberg_regnier_examples():

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import delball
@@ -103,11 +104,12 @@ def test_bounds_exact_flag(capsys):
 def test_bounds_input_errors(capsys):
     code, _, err = run_cli(capsys, "bounds", "--q", "3", "--n", "4", "--r", "5", "-t", "1")
     assert code == 2
-    code, _, err = run_cli(
+    # --exact has no size cap: its witness runs like the new_lower one.
+    code, out, _ = run_cli(
         capsys, "bounds", "--q", "2", "--n", "1000", "--r", "10", "-t", "1", "--exact"
     )
-    assert code == 2
-    assert "exact" in err
+    assert code == 0
+    assert json.loads(out)["exact"] == str(canonical_ball_size((1,) * 9 + (991,), 2, 1))
     for t in ("6", "-1"):
         code, out, err = run_cli(capsys, "bounds", "--q", "2", "--n", "5", "--r", "2", "-t", t)
         assert code == 2
@@ -183,10 +185,12 @@ def test_sweep_input_errors(capsys):
         capsys, "sweep", "--q", "2", "--n", "6", "--r", "2", "--t", "0..6", "--cols", "bogus"
     )
     assert code == 2
-    code, _, _ = run_cli(
+    # The exact column has no size cap either.
+    code, out, _ = run_cli(
         capsys, "sweep", "--q", "2", "--n", "600", "--r", "2", "--t", "0..1", "--cols", "exact"
     )
-    assert code == 2
+    assert code == 0
+    assert out == "t,exact\n0,1\n1,2\n"
 
 
 def test_sweep_n120_outputs_pinned(capsys):
@@ -246,6 +250,29 @@ def test_count_and_bounds_at_n3000(capsys):
     report = json.loads(out)
     assert report["new_upper"] == report["ch_upper"] == str(calabi_hartnett_max(3, 3000, 2))
     assert report["new_lower"] == str(calabi_hartnett_max(2, 3000, 2))
+
+
+def test_exact_column_at_large_n(capsys):
+    code, out, _ = run_cli(
+        capsys, "bounds", "--q", "3", "--n", "100000", "--r", "5", "-t", "2", "--exact"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["exact"] == str(canonical_ball_size((1, 1, 1, 1, 99996), 3, 2)) == "11"
+
+
+def test_counts_of_any_size_print(capsys):
+    # lev_upper = C(15999, 8000) has about 4,800 digits, past the int -> str
+    # limit that Python 3.11 sets by default.
+    code, out, err = run_cli(capsys, "bounds", "--q", "2", "--n", "8000", "--r", "8000", "-t", "8000")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["lev_upper"] == str(comb(15999, 8000))
+    code, out, err = run_cli(
+        capsys, "sweep", "--q", "2", "--n", "8000", "--r", "8000", "--t", "7999..8000"
+    )
+    assert (code, err) == (0, "")
+    last = out.splitlines()[-1].split(",")
+    assert last[:3] == ["8000", "0", str(comb(15999, 8000))]
 
 
 def test_narrow_sweep_at_n4000(capsys):
