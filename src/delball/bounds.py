@@ -35,7 +35,15 @@ from collections.abc import Iterable, Sequence
 
 from .binomials import binomial
 from .exact import ball_size, ball_size_all
-from .words import RunProfile, Word, canonical_profile, encode_runs, unbalanced_profile
+from .words import (
+    RunProfile,
+    Word,
+    canonical_profile,
+    check_deletions,
+    decimal,
+    encode_runs,
+    unbalanced_profile,
+)
 
 COLUMN_ORDER = (
     "exact",
@@ -54,9 +62,7 @@ def _check_params(q: int, n: int, r: int, t_values: Iterable[int] = ()) -> None:
         raise ValueError("need q >= 2")
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    for t in t_values:
-        if not 0 <= t <= n:
-            raise ValueError(f"t={t} outside [0, n={n}]")
+    check_deletions(n, t_values)
 
 
 def levenshtein_bounds(r: int, t: int) -> tuple[int, int]:
@@ -201,12 +207,12 @@ class BoundReport(
         for column in COLUMN_ORDER:
             v = self.value(column)
             if v is not None:
-                out[column] = str(v)
+                out[column] = decimal(v)
         return out
 
     def csv_row(self, columns: Sequence[str]) -> str:
         """t plus the requested columns, comma-separated, counts in decimal."""
-        return ",".join([str(self.t)] + [str(self.value(c)) for c in columns])
+        return ",".join([str(self.t)] + [decimal(self.value(c)) for c in columns])
 
 
 def _ball_column(word: Word | RunProfile, t_values: Sequence[int]) -> list[int]:

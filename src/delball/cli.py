@@ -19,7 +19,16 @@ from collections.abc import Sequence
 from .bounds import COLUMN_ORDER, report_for_params, sweep_reports
 from .exact import EnumerationBudgetError, ball_size, canonical_ball_size, enumerate_ball
 from .ops import balancing_chain
-from .words import RunProfile, Word, canonical_symbols, encode_runs, parse_run_profile, parse_word
+from .words import (
+    RunProfile,
+    Word,
+    canonical_symbols,
+    check_deletions,
+    decimal,
+    encode_runs,
+    parse_run_profile,
+    parse_word,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -56,11 +65,12 @@ def _parse_t_range(text: str) -> tuple[int, int]:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    t = args.deletions
     try:
         word = _word_from_args(args)
+        check_deletions(len(word), (t,))
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
-    t = args.deletions
     if args.method == "enumerate":
         try:
             value = len(enumerate_ball(word, t))
@@ -81,7 +91,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         value = canonical_ball_size(profile.lengths, word.alphabet_size, t)
     else:  # auto and dp both run the DP
         value = ball_size(word, t)
-    print(value)
+    print(decimal(value))
     return EXIT_OK
 
 
@@ -115,7 +125,7 @@ def sweep_text(
         "t_range": [t_lo, t_hi],
         "columns": ordered,
         "rows": [
-            {"t": rep.t, **{c: str(rep.value(c)) for c in ordered}} for rep in reports
+            {"t": rep.t, **{c: decimal(rep.value(c)) for c in ordered}} for rep in reports
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -166,7 +176,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
             step.profile.to_word().text(),
             ",".join(str(x) for x in step.profile.lengths),
             str(step.sum_of_squares),
-            str(step.ball_size),
+            decimal(step.ball_size),
         )
         for step in chain
     ]
@@ -243,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):  # 3.11 and 3.10.7+ cap int -> str at 4300 digits
-        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except MemoryError:

@@ -19,6 +19,23 @@ Two independent routes compute the ball size:
   of a range of t in one row, every length by default (about runs * n / 2
   operations).
 
+One ``ball_size`` predicted to visit at least SPLIT_MIN_CELLS DP cells runs
+on two cores.  It is cut at the run c that halves the prediction:
+P = runs[:c] has h symbols, S = runs[c:] the rest, and L = n - t.  Every
+distinct subsequence factors uniquely at h through its leftmost embedding,
+so
+
+    count(L) = row_P[L] + sum over a, k of g_a[k] * s'_a[L - k - 1],
+
+with g_a = row_P - (P's row before its last a), or row_P if a is not in P,
+and s'_a the row of reversed S before its last a, which counts the
+subsequences of S that start with a (0 if a is not in S).  The module
+``split`` runs the DP forward over P in this process and over reversed S
+in a forked child at the same time.  The split is taken only on Linux with
+os.fork, two CPUs in the affinity mask and no second live thread;
+otherwise, and below the cell threshold, the plain single-pass DP runs.
+``ball_size_all`` never splits.
+
 ``canonical_ball_size`` is a third route, valid only for words whose run
 symbols increase cyclically; it fills a table over the suffixes of the
 run-length vector alone, from the last run backwards.
@@ -27,6 +44,7 @@ run-length vector alone, from the last run backwards.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections import deque
 from itertools import accumulate, chain, combinations, repeat, zip_longest
 from math import comb
@@ -35,6 +53,10 @@ from .words import RunProfile, Word, encode_runs
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 ENUM_BUDGET_ENV = "DELBALL_ENUM_BUDGET"
+# A fork and the pipe cost a few ms, which the split wins back from about
+# 50,000 cells (15 ms of DP) on a 2-vCPU host; a step of the 44-step chain
+# of a 480-symbol word predicts under 3,000.
+SPLIT_MIN_CELLS = 100_000
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -77,8 +99,12 @@ def enumerate_ball(word: Word | RunProfile, t: int, budget: int | None = None) -
     return {Word(kept, q) for kept in combinations(word.symbols, n - t)}
 
 
-def _distinct_subsequence_counts(profile: RunProfile, shortest: int, longest: int) -> list[int]:
-    """counts[j] = number of distinct length-(shortest + j) subsequences of ``profile``.
+def _distinct_subsequence_counts(
+    profile: RunProfile, shortest: int, longest: int
+) -> tuple[list[int], dict[int, tuple[int, list[int]]]]:
+    """(counts, snapshots): counts[j] = number of distinct length-(shortest + j)
+    subsequences of ``profile``; snapshots[a] = (lo, row), the row before the
+    last a, whose row[j] counts length lo + j.
 
     Covers the lengths shortest..longest, for 0 <= shortest <= longest <= n.
 
@@ -101,7 +127,7 @@ def _distinct_subsequence_counts(profile: RunProfile, shortest: int, longest: in
     """
     n = len(profile)
     lo, row = 0, [1]  # row[j] counts the subsequences of length lo + j
-    before_last: dict[int, tuple[int, list[int]]] = {}  # a -> (lo, row) before a's last run
+    before_last: dict[int, tuple[int, list[int]]] = {}  # a -> (lo, row) before the last a
     i = 0
     for x, a in zip(profile.lengths, profile.symbols):
         i += x
@@ -137,15 +163,38 @@ def _distinct_subsequence_counts(profile: RunProfile, shortest: int, longest: in
             new = [c + s - e for c, s, e in zip(cur, above, below)]
             before_last[a] = (new_lo, [v - d for v, d in zip(new, g)])
         lo, row = new_lo, new
-    return row
+    return row, before_last
 
 
 def ball_size(word: Word | RunProfile, t: int) -> int:
-    """|ball(word, t)| by dynamic programming; 0 outside 0 <= t <= n."""
+    """|ball(word, t)| by dynamic programming; 0 outside 0 <= t <= n.
+
+    A DP predicted to visit at least SPLIT_MIN_CELLS cells is split at the
+    run that halves the prediction, and its second half runs in a child
+    process when a second core is free (see ``split.split_count``).
+    """
     n = len(word)
     if t < 0 or t > n:
         return 0
-    return _distinct_subsequence_counts(encode_runs(word), n - t, n - t)[0]
+    profile = encode_runs(word)
+    cells, cut = _split_plan(profile, n - t)
+    if cells >= SPLIT_MIN_CELLS:
+        from . import split  # loaded only by counts this large
+
+        if split.second_core_free():
+            return split.split_count(profile, n - t, cut, fork=True)
+    return _distinct_subsequence_counts(profile, n - t, n - t)[0][0]
+
+
+def _split_plan(profile: RunProfile, length: int) -> tuple[int, int]:
+    """(cells, cut): the predicted cells of the DP for one length (the sum of
+    its row widths after each run) and the number of leading runs whose
+    rows take half of them."""
+    n, i, cells = len(profile), 0, [0]
+    for x in profile.lengths:
+        i += x
+        cells.append(cells[-1] + min(i, length) - max(0, length - (n - i)) + 1)
+    return cells[-1], bisect_left(cells, cells[-1] // 2)
 
 
 def ball_size_all(word: Word | RunProfile, t_min: int = 0, t_max: int | None = None) -> list[int]:
@@ -159,7 +208,7 @@ def ball_size_all(word: Word | RunProfile, t_min: int = 0, t_max: int | None = N
     t_max = n if t_max is None else t_max
     if not 0 <= t_min <= t_max <= n:
         raise ValueError(f"need 0 <= t_min <= t_max <= n={n}, got t_min={t_min}, t_max={t_max}")
-    return _distinct_subsequence_counts(encode_runs(word), n - t_max, n - t_min)[::-1]
+    return _distinct_subsequence_counts(encode_runs(word), n - t_max, n - t_min)[0][::-1]
 
 
 def canonical_ball_size(lengths: tuple[int, ...] | list[int], q: int, t: int) -> int:

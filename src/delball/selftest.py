@@ -10,6 +10,7 @@ suites at acceptance scale and adds the large bound-comparison sweep.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -23,8 +24,9 @@ from .bounds import (
     sweep_reports,
     unbalanced_lower_bound,
 )
-from .exact import ball_size, ball_size_all, enumerate_ball
+from .exact import _split_plan, ball_size, ball_size_all, enumerate_ball
 from .ops import apply_permutation, balance_step, balancing_chain, cyclicize, insert_symbol, reduce_to_binary
+from .split import split_count
 from .words import (
     RunProfile,
     Word,
@@ -380,6 +382,33 @@ def check_cyclic_maximum(max_n: int = 12, qs=(2, 3, 4)) -> CheckResult:
     return CheckResult("cyclic-word-maximum", violations)
 
 
+def check_dp_split(trials: int, seed: int, max_n: int = 300) -> CheckResult:
+    """The count split into a prefix DP and a reversed-suffix DP equals the
+    plain DP row, at the cut ``ball_size`` picks and at a random cut; one t
+    per word also runs the suffix in a forked child where fork exists."""
+    rng = random.Random(seed)
+    violations = []
+    checked = 0
+    for trial in range(trials):
+        q = (2, 3, 4, 8)[trial % 4]
+        n = rng.randint(0, max_n)
+        profile = encode_runs(Word(tuple(rng.randrange(q) for _ in range(n)), q))
+        sizes = ball_size_all(profile)
+        for t in {0, n, n // 2, *(rng.randint(0, n) for _ in range(5))}:
+            for cut in (_split_plan(profile, n - t)[1], rng.randint(0, profile.run_count)):
+                checked += 1
+                got = split_count(profile, n - t, cut)
+                if got != sizes[t]:
+                    violations.append(f"q={q} n={n} t={t} cut={cut}: {got} != {sizes[t]}")
+        if hasattr(os, "fork"):
+            checked += 1
+            t, cut = n // 2, profile.run_count // 2
+            got = split_count(profile, n - t, cut, fork=True)
+            if got != sizes[t]:
+                violations.append(f"forked q={q} n={n} t={t} cut={cut}: {got} != {sizes[t]}")
+    return CheckResult("dp-split", violations, f"{checked} (word, t, cut) triples")
+
+
 def check_bound_comparison_ordering(q: int = 3, n: int = 120, r: int = 24) -> CheckResult:
     """At the large comparison point the balanced bound never exceeds the others."""
     reports = sweep_reports(q, n, r, list(range(1, n)))
@@ -421,6 +450,7 @@ def suites_for_scale(scale: str) -> list[CheckResult]:
             check_chain_contract(trials=100, seed=106),
             check_sandwich(trials=300, seed=107),
             check_cyclic_maximum(),
+            check_dp_split(trials=40, seed=108),
             check_bound_comparison_ordering(),
         ]
     else:

@@ -9,6 +9,10 @@ construction (sequences of symbols or lengths are stored as tuples of
 ints): equal fields give equal, hashable values.  Plain named tuples load
 faster than dataclasses, which keeps the command line's start-up short.
 
+``decimal`` writes a count of any number of digits as text, and
+``check_deletions`` rejects a number of deletions outside [0, n]; the
+command line and the bound reports share both.
+
 The DP and the bound witnesses work on run profiles, whatever the run
 lengths; ``to_word`` decodes n symbols only where a Word is the result or
 is printed (enumeration, the chain table, the word builders).
@@ -17,6 +21,7 @@ is printed (enumeration, the chain table, the word builders).
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from itertools import groupby
 
 SYMBOL_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -201,3 +206,22 @@ def parse_run_profile(text: str, alphabet_size: int | None = None) -> RunProfile
     if alphabet_size is None:
         alphabet_size = max(symbols, default=0) + 1
     return RunProfile(tuple(lengths), tuple(symbols), alphabet_size)
+
+
+def check_deletions(n: int, t_values: Iterable[int]) -> None:
+    """Raise ValueError at the first t outside [0, n]."""
+    for t in t_values:
+        if not 0 <= t <= n:
+            raise ValueError(f"t={t} outside [0, n={n}]")
+
+
+def decimal(value: int) -> str:
+    """``str(value)`` for any number of digits, leaving Python's int -> str
+    digit limit (3.11 and 3.10.7+) as it is: past it, the two halves of the
+    digits are converted alone."""
+    try:
+        return str(value)
+    except ValueError:
+        k = abs(value).bit_length() * 3 // 20  # about half the digits (log10 2 > 0.3)
+        high, low = divmod(abs(value), 10**k)
+        return "-" * (value < 0) + decimal(high) + decimal(low).zfill(k)

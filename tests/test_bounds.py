@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 from functools import lru_cache
 from itertools import product
@@ -24,7 +25,7 @@ from delball.bounds import (
     unbalanced_lower_bound,
 )
 from delball.exact import ball_size, ball_size_all, enumerate_ball
-from delball.words import Word, cyclic_word, encode_runs, parse_word
+from delball.words import Word, cyclic_word, decimal, encode_runs, parse_word
 
 
 def test_levenshtein_bounds_examples():
@@ -221,6 +222,31 @@ def test_report_json_round_trip():
     assert with_exact.to_json_dict()["exact"] == "4"
     with pytest.raises(ValueError):
         with_exact.value("nope")
+
+
+def test_report_formats_counts_past_the_digit_limit():
+    # Python 3.11 (and 3.10.7+) refuses str() of an int over 4,300 digits by
+    # default.  Reports format such counts anyway and leave that limit alone.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert limit in (None, 4300)
+    nines, big = 10**5000 - 1, 7 * 10**12001 + 10**6000 + 42
+    report = BoundReport(3, 9, 3, 2, 1, nines, 1, big, big, 1, nines, exact=-big)
+    payload = report.to_json_dict()
+    assert payload["lev_upper"] == payload["new_upper"] == "9" * 5000
+    text = "7" + "0" * 6000 + "1" + "0" * 5998 + "42"
+    assert payload["hr_upper"] == text and payload["exact"] == "-" + text
+    assert report.csv_row(["exact", "lev_lower", "ch_upper"]) == f"2,-{text},1,{text}"
+    rng = random.Random(11)
+    for _ in range(20):
+        value = rng.getrandbits(rng.randint(1, 60000))
+        digits = decimal(value)
+        assert digits == "0" or not digits.startswith("0")
+        chunks = [digits[i : i + 1000] for i in range(0, len(digits), 1000)]
+        rebuilt = 0
+        for chunk in chunks:
+            rebuilt = rebuilt * 10 ** len(chunk) + int(chunk)
+        assert rebuilt == value
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_sweep_reports_share_exact_column():

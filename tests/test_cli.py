@@ -43,6 +43,18 @@ def test_count_methods_agree(capsys):
         assert out.strip() == str(ball_size(parse_word("011222"), 2))
 
 
+def test_count_t_outside_range_exit_2(capsys):
+    for source in (("--word", "012"), ("--runs", "1,1,1;0,1,2")):
+        for t in (-1, 4, 5):
+            code, out, err = run_cli(capsys, "count", *source, "-t", str(t))
+            assert (code, out) == (2, "")
+            assert err == f"delball: t={t} outside [0, n=3]\n"
+        for t, want in ((0, "1"), (3, "1"), (1, "3")):
+            assert run_cli(capsys, "count", *source, "-t", str(t))[:2] == (0, want + "\n")
+    code, _, err = run_cli(capsys, "count", "--word", "0101", "-t", "9", "--method", "enumerate")
+    assert (code, err) == (2, "delball: t=9 outside [0, n=4]\n")
+
+
 def test_count_parse_failure_exit_2(capsys):
     code, _, err = run_cli(capsys, "count", "--word", "01!", "-t", "1")
     assert code == 2
@@ -261,18 +273,29 @@ def test_exact_column_at_large_n(capsys):
     assert report["exact"] == str(canonical_ball_size((1, 1, 1, 1, 99996), 3, 2)) == "11"
 
 
+def digits_value(text):
+    """int(text) for a decimal string of any length, under any int <- str digit limit."""
+    assert text.isdigit() and (text == "0" or not text.startswith("0"))
+    value = 0
+    for i in range(0, len(text), 1000):
+        value = value * 10 ** len(text[i : i + 1000]) + int(text[i : i + 1000])
+    return value
+
+
 def test_counts_of_any_size_print(capsys):
     # lev_upper = C(15999, 8000) has about 4,800 digits, past the int -> str
-    # limit that Python 3.11 sets by default.
+    # limit that Python 3.11 sets by default, which the CLI leaves in force.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     code, out, err = run_cli(capsys, "bounds", "--q", "2", "--n", "8000", "--r", "8000", "-t", "8000")
     assert (code, err) == (0, "")
-    assert json.loads(out)["lev_upper"] == str(comb(15999, 8000))
+    assert digits_value(json.loads(out)["lev_upper"]) == comb(15999, 8000)
     code, out, err = run_cli(
         capsys, "sweep", "--q", "2", "--n", "8000", "--r", "8000", "--t", "7999..8000"
     )
     assert (code, err) == (0, "")
     last = out.splitlines()[-1].split(",")
-    assert last[:3] == ["8000", "0", str(comb(15999, 8000))]
+    assert last[:2] == ["8000", "0"] and digits_value(last[2]) == comb(15999, 8000)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_narrow_sweep_at_n4000(capsys):

@@ -1,12 +1,19 @@
+import os
 import random
+import sys
+import threading
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from delball import split
 from delball.exact import (
+    SPLIT_MIN_CELLS,
     EnumerationBudgetError,
+    _distinct_subsequence_counts,
+    _split_plan,
     ball_size,
     ball_size_all,
     canonical_ball_size,
@@ -172,6 +179,155 @@ def test_runs_far_longer_than_the_band():
         expected = [min(a, n - t) - max(0, n - t - b) + 1 for t in ts]
         assert [ball_size(profile, t) for t in ts] == expected
         assert ball_size_all(profile, 0, 6) + ball_size_all(profile, n - 6, n) == expected
+
+
+@st.composite
+def split_words(draw):
+    """Run-built words of at most 14 symbols over q in 1..5."""
+    q = draw(st.integers(1, 5))
+    runs = draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(1, 4)), max_size=10))
+    symbols = [a for a, x in runs for _ in range(x)][:14]
+    return Word(tuple(symbols), q)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(split_words())
+@example(Word((), 2))
+@example(Word((0, 0, 1, 1, 2, 2), 3))  # every cut leaves a symbol on one side only
+@example(Word((4, 4, 4, 3, 0, 1, 2, 0, 1, 2), 5))
+@example(Word((0,) * 9, 1))
+def test_split_equals_plain_dp_property(word):
+    profile = encode_runs(word)
+    n = len(word)
+    for t in range(n + 1):
+        expected = _distinct_subsequence_counts(profile, n - t, n - t)[0][0]
+        for cut in range(profile.run_count + 1):
+            assert split.split_count(profile, n - t, cut) == expected
+
+
+def random_profile(seed, n=1100, q=3):
+    rng = random.Random(seed)
+    return encode_runs(Word(tuple(rng.randrange(q) for _ in range(n)), q))
+
+
+def plain(profile, t):
+    n = len(profile)
+    return _distinct_subsequence_counts(profile, n - t, n - t)[0][0]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Record the pid of every child the DP forks."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the split forks on Linux only")
+def test_large_count_takes_the_forked_split(monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for seed, q in ((1, 2), (2, 3), (3, 8)):
+        profile = random_profile(seed, q=q)
+        t = len(profile) // 2
+        assert _split_plan(profile, len(profile) - t)[0] >= SPLIT_MIN_CELLS
+        before = len(forks)
+        assert ball_size(profile, t) == plain(profile, t)
+        assert len(forks) == before + 1
+    assert_reaped(forks)
+
+    # The 44-step chain of a 480-symbol word with 24 runs never forks.
+    chain_profile = canonical_profile((20,) * 24, 4)
+    assert _split_plan(chain_profile, 240)[0] < SPLIT_MIN_CELLS // 10
+    ball_size(chain_profile, 240)
+    assert len(forks) == 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_split_fallbacks_give_the_same_value(monkeypatch, forks):
+    profile = random_profile(4)
+    t = len(profile) // 2
+    expected = plain(profile, t)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sys, "platform", "linux")
+
+    # A child that exits before writing anything.
+    fork = os.fork
+
+    def fork_and_die():
+        pid = fork()
+        if pid == 0:
+            os._exit(3)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_and_die)
+    assert ball_size(profile, t) == expected
+    assert len(forks) == 1
+
+    # A child that dies after its first chunk, and one whose chunk is cut short.
+    fork_rows = split._fork_rows
+
+    def dies_after_first_chunk(make_rows):
+        def rows():
+            yield next(iter(make_rows()))
+            os._exit(1)
+
+        return fork_rows(rows)
+
+    def truncated_chunk(make_rows):
+        read_fd, write_fd = os.pipe()
+        pid = fork()
+        if pid == 0:
+            try:
+                os.write(write_fd, (10**6).to_bytes(8, "little") + bytes(100))
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+
+    monkeypatch.setattr(os, "fork", fork)
+    for broken in (dies_after_first_chunk, truncated_chunk):
+        monkeypatch.setattr(split, "_fork_rows", broken)
+        assert ball_size(profile, t) == expected
+    monkeypatch.setattr(split, "_fork_rows", fork_rows)
+    assert len(forks) == 3
+    assert_reaped(forks)
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert ball_size(profile, t) == expected
+
+    def must_not_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", must_not_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert ball_size(profile, t) == expected
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert ball_size(profile, t) == expected
+    finally:
+        release.set()
+        waiter.join()
 
 
 def test_canonical_ball_size_table_rows():

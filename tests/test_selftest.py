@@ -40,5 +40,6 @@ def test_tiny_scale_checks_pass():
     assert selftest.check_chain_contract(trials=5, seed=6, max_n=12).passed
     assert selftest.check_sandwich(trials=10, seed=7).passed
     assert selftest.check_cyclic_maximum(max_n=6, qs=(2,)).passed
+    assert selftest.check_dp_split(trials=8, seed=8, max_n=40).passed
     assert selftest.check_triple_agreement(qs=(2,), rs=range(1, 4), ks=(1, 2)).passed
     assert selftest.check_balanced_peel_identities(qs=(2, 3), ks=(1, 2), rs=range(1, 5)).passed
