@@ -6,13 +6,18 @@ Subcommands: ``count`` (exact ball sizes), ``bounds`` (one JSON report),
 strings everywhere, whatever their number of digits; they overflow 64-bit
 integers long before the interesting parameter ranges.
 
-Exit codes: 0 success, 2 input error, 3 enumeration budget refusal or
-out of memory, 4 output I/O error.
+Exit codes: 0 success, 2 input error, 3 enumeration budget refusal or a
+request too large for this machine (out of memory, or a size past its
+index range), 4 output I/O error (stdout or ``--out``).  Subcommands only
+parse, compute and print; ``main`` maps every failure to its code and one
+line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import re
 import sys
 from collections.abc import Sequence
 
@@ -36,10 +41,6 @@ EXIT_BUDGET = 3
 EXIT_IO = 4
 
 
-class InputError(Exception):
-    pass
-
-
 def _fail(message: str, code: int) -> int:
     print(f"delball: {message}", file=sys.stderr)
     return code
@@ -52,41 +53,24 @@ def _word_from_args(args: argparse.Namespace) -> Word | RunProfile:
 
 
 def _parse_t_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise InputError(f't range must look like "a..b", got {text!r}')
-    try:
-        a, b = int(lo), int(hi)
-    except ValueError:
-        raise InputError(f"invalid t range {text!r}") from None
-    if a > b:
-        raise InputError(f"empty t range {text!r}")
-    return a, b
+    match = re.fullmatch(r"\s*([+-]?\d+)\s*\.\.\s*([+-]?\d+)\s*", text)
+    if match is None or int(match[1]) > int(match[2]):
+        raise ValueError(f't range must look like "a..b" with integers a <= b, got {text!r}')
+    return int(match[1]), int(match[2])
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     t = args.deletions
-    try:
-        word = _word_from_args(args)
-        check_deletions(len(word), (t,))
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    word = _word_from_args(args)
+    check_deletions(len(word), (t,))
     if args.method == "enumerate":
-        try:
-            value = len(enumerate_ball(word, t))
-        except EnumerationBudgetError as exc:
-            return _fail(str(exc), EXIT_BUDGET)
-        except ValueError as exc:  # malformed DELBALL_ENUM_BUDGET
-            return _fail(str(exc), EXIT_INPUT)
+        value = len(enumerate_ball(word, t))
     elif args.method == "canonical":
         profile = encode_runs(word)
-        if word.alphabet_size < 2:
-            return _fail("canonical method needs an alphabet of at least 2", EXIT_INPUT)
         if profile.symbols != canonical_symbols(profile.run_count, word.alphabet_size):
-            return _fail(
+            raise ValueError(
                 "canonical method needs run symbols 0, 1, ... cycling mod min(r, q); "
-                "use --method dp for arbitrary words",
-                EXIT_INPUT,
+                "use --method dp for arbitrary words"
             )
         value = canonical_ball_size(profile.lengths, word.alphabet_size, t)
     else:  # auto and dp both run the DP
@@ -96,10 +80,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    try:
-        report = report_for_params(args.q, args.n, args.r, args.deletions, with_exact=args.exact)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    report = report_for_params(args.q, args.n, args.r, args.deletions, with_exact=args.exact)
     import json
 
     print(json.dumps(report.to_json_dict(), indent=2))
@@ -132,44 +113,34 @@ def sweep_text(
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        t_lo, t_hi = _parse_t_range(args.t_range)
-        columns = [c.strip() for c in args.cols.split(",") if c.strip()]
-        if not columns:
-            raise InputError("no columns requested")
-        unknown = [c for c in columns if c not in COLUMN_ORDER]
-        if unknown:
-            raise InputError(f"unknown columns {unknown}; choose from {list(COLUMN_ORDER)}")
-        text = sweep_text(args.q, args.n, args.r, t_lo, t_hi, columns, args.format)
-    except (InputError, ValueError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    try:
-        if args.out == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-    except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc}", EXIT_IO)
+    t_lo, t_hi = _parse_t_range(args.t_range)
+    columns = [c.strip() for c in args.cols.split(",") if c.strip()]
+    if not columns:
+        raise ValueError("no columns requested")
+    unknown = [c for c in columns if c not in COLUMN_ORDER]
+    if unknown:
+        raise ValueError(f"unknown columns {unknown}; choose from {list(COLUMN_ORDER)}")
+    text = sweep_text(args.q, args.n, args.r, t_lo, t_hi, columns, args.format)
+    if args.out == "-":
+        print(text, end="")
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     return EXIT_OK
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
-    try:
-        word = parse_word(args.word, args.q)
-        profile = encode_runs(word)
-        r, n = profile.run_count, len(word)
-        if r == 0:
-            raise InputError("empty word has no balancing chain")
-        if n % r != 0:
-            raise InputError(
-                f"run count {r} does not divide length {n}; no balancing chain exists. "
-                f"The padded balanced bound (k = ceil(n/r)) is still available via "
-                f"`delball bounds --q {word.alphabet_size} --n {n} --r {r} -t {args.deletions}`."
-            )
-        chain = balancing_chain(profile, args.deletions)
-    except (InputError, ValueError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    word = parse_word(args.word, args.q)
+    profile = encode_runs(word)
+    r, n = profile.run_count, len(word)
+    check_deletions(n, (args.deletions,))
+    if r and n % r:  # balancing_chain rejects r = 0 itself
+        raise ValueError(
+            f"run count {r} does not divide length {n}; no balancing chain exists. "
+            f"The padded balanced bound (k = ceil(n/r)) is still available via "
+            f"`delball bounds --q {word.alphabet_size} --n {n} --r {r} -t {args.deletions}`."
+        )
+    chain = balancing_chain(profile, args.deletions)
     rows = [
         (
             str(step.index),
@@ -254,9 +225,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when launched with stdout closed; print skips it
+            sys.stdout.flush()  # so a failed write ends here, not in Python's exit flush
+        return code
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_INPUT)
+    except EnumerationBudgetError as exc:
+        return _fail(str(exc), EXIT_BUDGET)
     except MemoryError:
         return _fail("out of memory: the request is too large for this machine", EXIT_BUDGET)
+    except OverflowError as exc:
+        return _fail(f"the request is too large for this machine: {exc}", EXIT_BUDGET)
+    except OSError as exc:
+        if sys.stdout is not None and sys.stdout is sys.__stdout__:
+            # Python flushes stdout again at exit: send what it still holds to the null device.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail(f"cannot write output: {exc}", EXIT_IO)
 
 
 if __name__ == "__main__":

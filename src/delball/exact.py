@@ -133,27 +133,20 @@ def _distinct_subsequence_counts(
         i += x
         new_lo = max(0, shortest - (n - i))
         top = min(i, longest)  # the new row covers lengths new_lo..top
-        prev = before_last.get(a)
+        p_lo, p_row = before_last.get(a, (0, []))  # a new symbol has an empty snapshot
         if x == 1:
             # new[m] = row[m] + row[m-1] - snapshot[m-1], for m >= new_lo
             if new_lo:  # then lo = new_lo - 1
                 cur, down = row[1:], row[: top - lo]
             else:
                 cur, down = row, [0, *row[:top]]
-            if prev is None:
-                new = [c + d for c, d in zip_longest(cur, down, fillvalue=0)]
-            else:
-                p_lo, p_row = prev
-                old = p_row[new_lo - 1 - p_lo : top - p_lo] if new_lo else [0, *p_row[:top]]
-                new = [c + d - b for c, d, b in zip_longest(cur, down, old, fillvalue=0)]
+            old = p_row[new_lo - 1 - p_lo : top - p_lo] if new_lo else [0, *p_row[:top]]
+            new = [c + d - b for c, d, b in zip_longest(cur, down, old, fillvalue=0)]
             before_last[a] = (lo, row)
         else:
             pad = lo - (new_lo - x)  # the windows start at length new_lo - x <= lo
-            gain = row[: top - lo]  # g from length lo up
-            if prev is not None:
-                p_lo, p_row = prev
-                old = p_row[lo - p_lo : top - p_lo]
-                gain = [c - b for c, b in zip_longest(gain, old, fillvalue=0)]
+            old = p_row[lo - p_lo : top - p_lo]
+            gain = [c - b for c, b in zip_longest(row[: top - lo], old, fillvalue=0)]  # g from lo up
             g = chain(repeat(0, pad), gain, repeat(0))  # g[m - x] for m = new_lo..top
             sums = list(accumulate(gain, initial=0))  # sums[j] = g summed below lo + j
             cur = row[new_lo - lo :]

@@ -8,6 +8,8 @@ import time
 from math import comb
 from pathlib import Path
 
+import pytest
+
 import delball
 from delball import cli
 from delball.bounds import calabi_hartnett_max
@@ -432,3 +434,75 @@ def test_package_exports_resolve_to_submodule_objects():
         assert module.__name__.startswith("delball.")
         assert getattr(module, name) is value is getattr(delball, name)
     assert delball.bounds is sys.modules["delball.bounds"]
+
+
+def launch(*argv, stdout=subprocess.PIPE, unbuffered=False):
+    """Run ``python -m delball`` as its own process; stdout is block-buffered
+    (as whenever it is a file or a pipe) unless ``unbuffered``."""
+    src = str(Path(delball.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "delball", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+    )
+
+
+def assert_one_line(result, code, start):
+    assert result.returncode == code, result.stderr
+    assert result.stderr.startswith(f"delball: {start}") and result.stderr.count("\n") == 1
+
+
+WRITING_COMMANDS = (
+    ("count", "--word", "0101", "-t", "1"),
+    ("bounds", "--q", "3", "--n", "12", "--r", "4", "-t", "2"),
+    ("sweep", "--q", "3", "--n", "120", "--r", "24", "--t", "0..120"),
+    ("chain", "--word", "0011", "-t", "1"),
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/full is Linux-only")
+@pytest.mark.parametrize("unbuffered", (False, True))
+def test_stdout_on_full_device_exit_4(unbuffered):
+    for argv in WRITING_COMMANDS:
+        with open("/dev/full", "wb") as full:
+            result = launch(*argv, stdout=full, unbuffered=unbuffered)
+        assert_one_line(result, 4, "cannot write output")
+
+
+def test_stdout_pipe_closed_before_launch_exit_4():
+    for argv in WRITING_COMMANDS:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = launch(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert_one_line(result, 4, "cannot write output")
+
+
+def test_sizes_past_index_range_exit_3():
+    n = str(10**20)
+    for argv in (
+        ("count", "--runs", f"{n};0", "-t", "1"),
+        ("bounds", "--q", "3", "--n", n, "--r", "5", "-t", "2"),
+        ("sweep", "--q", "3", "--n", n, "--r", "5", "--t", "0..2"),
+    ):
+        result = launch(*argv)
+        assert result.stdout == ""
+        assert_one_line(result, 3, "the request is too large for this machine")
+
+
+def test_chain_t_outside_range_exit_2():
+    for t in ("9", "-1"):
+        result = launch("chain", "--word", "0011", "-t", t)
+        assert result.stdout == ""
+        assert_one_line(result, 2, f"t={t} outside [0, n=4]")
+
+
+def test_count_canonical_unary_alphabet_exit_2():
+    result = launch("count", "--word", "000", "--q", "1", "-t", "1", "--method", "canonical")
+    assert result.stdout == ""
+    assert_one_line(result, 2, "canonical words need an alphabet of at least 2")
