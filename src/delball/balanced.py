@@ -20,6 +20,9 @@ bound.  This module computes that size two independent ways.
   profiles (``enumerate_step_profiles``) and bounded-composition counts
   (``composition_count``), with interleavings supplied by multinomials.
 
+Both routes run one ball routine, differing only in the tail function it
+sums, and store their tables through one bottom-up memo fill.
+
 Boundary conventions, each pinned to the exact DP by the test grid:
 ball(0, t) = 1 iff t = 0; ball(r, rk) = 1 (only the empty subsequence
 survives); tail_ball(r, t) = 0 for r <= 0 and for t outside [0, rk - 1];
@@ -28,11 +31,13 @@ composition_count(0, 0, k) = 1.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 from math import factorial
 
 from .binomials import binomial
+
+_Memo = dict[tuple[int, int], int]  # (runs, deletions) -> ball size
 
 
 def step_alphabet(q: int, k: int) -> list[tuple[int, int]]:
@@ -69,8 +74,7 @@ def composition_count(parts: int, total: int, k: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class StepProfile:
+class StepProfile(namedtuple("StepProfile", "pairs")):
     """Per-class step usage: pairs[i-1] = (z_i, v_i) for classes 1..q-1.
 
     z_i counts the steps taken from class i and v_i their total deletion
@@ -78,7 +82,7 @@ class StepProfile:
     [(i-1)k z_i, (ik-1) z_i].
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def _class_count_vectors(m: int, weighted: int, plain: int) -> list[tuple[int, ...]]:
@@ -152,7 +156,7 @@ def _banded_sums(lows: list[int], highs: list[int], total: int) -> list[tuple[in
     return out
 
 
-def _profile_sequence_count(q: int, k: int, profile: StepProfile, cycles: int) -> int:
+def _profile_sequence_count(k: int, profile: StepProfile, cycles: int) -> int:
     """Ordered step sequences realizing ``profile`` plus ``cycles`` full-cycle steps.
 
     Multinomial interleaving of the classes, a bounded-composition count of
@@ -172,7 +176,7 @@ def _profile_sequence_count(q: int, k: int, profile: StepProfile, cycles: int) -
 def restricted_sequence_count(q: int, k: int, run_drop: int, del_drop: int) -> int:
     """Ordered step sequences consuming (run_drop, del_drop) with no full-cycle step."""
     return sum(
-        _profile_sequence_count(q, k, profile, 0)
+        _profile_sequence_count(k, profile, 0)
         for profile in enumerate_step_profiles(q, k, run_drop, del_drop)
     )
 
@@ -189,7 +193,7 @@ def sequence_count(q: int, k: int, run_drop: int, del_drop: int) -> int:
         if rd < 0:
             break
         for profile in enumerate_step_profiles(q, k, rd, dd):
-            total += _profile_sequence_count(q, k, profile, cycles)
+            total += _profile_sequence_count(k, profile, cycles)
     return total
 
 
@@ -197,8 +201,10 @@ class BalancedBallCalculator:
     """Ball sizes for balanced words with runs of length ``k`` over alphabet ``q``.
 
     Carries private memo tables keyed on (r, t); create one calculator per
-    thread.  ``memo_hits`` / ``memo_misses`` count lookups across all four
-    entry points, so long sweeps can report their memoization hit rate.
+    thread.  ``_ball`` is the body of both ball routes and ``_fill`` fills
+    every (r, t) table.  ``memo_hits`` / ``memo_misses`` count lookups
+    across all four entry points, so long sweeps can report their
+    memoization hit rate.
     """
 
     def __init__(self, k: int, q: int) -> None:
@@ -206,10 +212,10 @@ class BalancedBallCalculator:
             raise ValueError("need k >= 1 and q >= 2")
         self.k = k
         self.q = q
-        self._ball_rec: dict[tuple[int, int], int] = {}
-        self._tail_rec: dict[tuple[int, int], int] = {}
-        self._ball_closed: dict[tuple[int, int], int] = {}
-        self._seq: dict[tuple[int, int], int] = {}
+        self._ball_rec: _Memo = {}
+        self._tail_rec: _Memo = {}
+        self._ball_closed: _Memo = {}
+        self._seq: _Memo = {}
         self.memo_hits = 0
         self.memo_misses = 0
 
@@ -220,6 +226,14 @@ class BalancedBallCalculator:
 
     def ball_recursive(self, r: int, t: int) -> int:
         """|ball(balanced_word(r, k, q), t)| by run-peeling recursion."""
+        return self._ball(r, t, self.tail_ball_recursive, self._ball_rec)
+
+    def ball_closed(self, r: int, t: int) -> int:
+        """|ball(balanced_word(r, k, q), t)| via the closed form when q < r."""
+        return self._ball(r, t, self.tail_ball_closed, self._ball_closed)
+
+    def _ball(self, r: int, t: int, tail: Callable[[int, int], int], memo: _Memo) -> int:
+        """The one ball routine: from ``tail`` balls when q < r, else window sums in ``memo``."""
         k, q = self.k, self.q
         if t < 0 or t > k * r or r < 0:
             return 0
@@ -228,10 +242,12 @@ class BalancedBallCalculator:
         if q < r:
             if t == k * r:
                 return 1
-            return self.tail_ball_recursive(r, t) + sum(
-                self.tail_ball_recursive(r - i, t - i * k) for i in range(1, q)
-            )
-        return self._window_fill(self._ball_rec, self.ball_recursive, r, t)
+            return tail(r, t) + sum(tail(r - i, t - i * k) for i in range(1, q))
+        return self._fill(memo, r, t, 0, self._window, tail, memo)
+
+    def _window(self, r: int, t: int, tail: Callable[[int, int], int], memo: _Memo) -> int:
+        """ball(r, t) = sum_{i<=k} ball(r-1, t-i) for r <= q (distinct run symbols)."""
+        return sum(self._ball(r - 1, t - i, tail, memo) for i in range(self.k + 1))
 
     def tail_ball_recursive(self, r: int, t: int) -> int:
         """|ball(balanced_tail_word(r, k, q), t)| by run-peeling recursion.
@@ -239,23 +255,10 @@ class BalancedBallCalculator:
         Three cases on t: outside [0, kr - 1] the ball is empty; in the top
         band [k(r-1), kr - 1] peeling consumes everything but one constant
         survivor; below the band the first run peels into shorter tails.
-        Every tail peeled into has fewer runs and at most t deletions, so
-        the memo is filled bottom-up, fewest runs first, over r' <= r and
-        t' <= t: each peel reads only stored entries, and the stack depth
-        stays the same whatever r is.
         """
         if r <= 0 or t < 0 or t >= self.k * r:
             return 0
-        cached = self._tail_rec.get((r, t))
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        for r2 in range(1, r + 1):
-            for t2 in range(min(t, self.k * r2 - 1) + 1):
-                if (r2, t2) not in self._tail_rec:
-                    self.memo_misses += 1
-                    self._tail_rec[r2, t2] = self._tail_peel(r2, t2)
-        return self._tail_rec[r, t]
+        return self._fill(self._tail_rec, r, t, -1, self._tail_peel)
 
     def _tail_peel(self, r: int, t: int) -> int:
         """The tail ball at (r, t), 0 <= t < kr, from the tails it peels into."""
@@ -270,6 +273,25 @@ class BalancedBallCalculator:
             for j in range(1, q)
         )
 
+    def _fill(self, memo: _Memo, r: int, t: int, top: int, value: Callable[..., int], *args) -> int:
+        """memo[r, t], storing value(r', t', *args) for r' <= r, t' <= min(t, kr' + top) first.
+
+        Every value at (r', t') reads only entries with fewer runs and at
+        most t' deletions, so filling fewest runs first means each of those
+        reads is a stored entry, and the stack depth stays the same whatever
+        r is.  One hit or miss is counted per entry looked up.
+        """
+        cached = memo.get((r, t))
+        if cached is not None:
+            self.memo_hits += 1
+            return cached
+        for r2 in range(1, r + 1):
+            for t2 in range(min(t, self.k * r2 + top) + 1):
+                if (r2, t2) not in memo:
+                    self.memo_misses += 1
+                    memo[r2, t2] = value(r2, t2, *args)
+        return memo[r, t]
+
     def tail_ball_closed(self, r: int, t: int) -> int:
         """Closed form for tail_ball_recursive: sum the expansion's survivors.
 
@@ -280,40 +302,6 @@ class BalancedBallCalculator:
         if r <= 0 or t < 0 or t >= k * r:
             return 0
         return sum(self.sequence_count(r - j // k - 1, t - j) for j in range(t + 1))
-
-    def ball_closed(self, r: int, t: int) -> int:
-        """|ball(balanced_word(r, k, q), t)| via the closed form when q < r."""
-        k, q = self.k, self.q
-        if t < 0 or t > k * r or r < 0:
-            return 0
-        if r == 0:
-            return 1
-        if q < r:
-            if t == k * r:
-                return 1
-            return self.tail_ball_closed(r, t) + sum(
-                self.tail_ball_closed(r - i, t - i * k) for i in range(1, q)
-            )
-        return self._window_fill(self._ball_closed, self.ball_closed, r, t)
-
-    def _window_fill(
-        self, memo: dict[tuple[int, int], int], ball: Callable[[int, int], int], r: int, t: int
-    ) -> int:
-        """ball(r, t) = sum_{i<=k} ball(r-1, t-i) for r <= q (distinct run symbols).
-
-        ``memo`` is filled bottom-up, fewest runs first, so the stack stays
-        shallow whatever r is; ``ball`` is the method that owns ``memo``.
-        """
-        cached = memo.get((r, t))
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        for r2 in range(1, r + 1):
-            for t2 in range(min(t, self.k * r2) + 1):
-                if (r2, t2) not in memo:
-                    self.memo_misses += 1
-                    memo[r2, t2] = sum(ball(r2 - 1, t2 - i) for i in range(self.k + 1))
-        return memo[r, t]
 
     def sequence_count(self, run_drop: int, del_drop: int) -> int:
         """Memoized sequence_count(q, k, run_drop, del_drop)."""

@@ -8,9 +8,10 @@ integers long before the interesting parameter ranges.
 
 Exit codes: 0 success, 2 input error, 3 enumeration budget refusal or a
 request too large for this machine (out of memory, or a size past its
-index range), 4 output I/O error (stdout or ``--out``).  Subcommands only
-parse, compute and print; ``main`` maps every failure to its code and one
-line on stderr.
+index range), 4 output I/O error (stdout, also when closed at launch, or
+``--out``).  Subcommands only parse, compute and print; ``main`` maps every
+failure to its code and one line on stderr, which an unwritable stderr
+loses without changing the code.
 """
 
 from __future__ import annotations
@@ -41,8 +42,18 @@ EXIT_BUDGET = 3
 EXIT_IO = 4
 
 
+def _drop_pending(stream) -> None:
+    """Send what a standard stream still holds to the null device, where the exit flush succeeds."""
+    if stream is not None and stream in (sys.__stdout__, sys.__stderr__):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def _fail(message: str, code: int) -> int:
-    print(f"delball: {message}", file=sys.stderr)
+    try:  # a closed (None) or unwritable stderr loses the line, not the exit code
+        if sys.stderr is not None:
+            print(f"delball: {message}", file=sys.stderr)
+    except OSError:
+        _drop_pending(sys.stderr)
     return code
 
 
@@ -225,8 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if sys.stdout is None and getattr(args, "out", "-") == "-":
+            raise OSError("stdout is closed")  # launched with >&-: print would drop the output
         code = args.func(args)
-        if sys.stdout is not None:  # None when launched with stdout closed; print skips it
+        if sys.stdout is not None:  # None only when the output goes to --out
             sys.stdout.flush()  # so a failed write ends here, not in Python's exit flush
         return code
     except ValueError as exc:
@@ -238,9 +251,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OverflowError as exc:
         return _fail(f"the request is too large for this machine: {exc}", EXIT_BUDGET)
     except OSError as exc:
-        if sys.stdout is not None and sys.stdout is sys.__stdout__:
-            # Python flushes stdout again at exit: send what it still holds to the null device.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _drop_pending(sys.stdout)
         return _fail(f"cannot write output: {exc}", EXIT_IO)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .balanced import BalancedBallCalculator
 from .bounds import (
@@ -53,11 +53,8 @@ GOLDEN_CHAIN_ROWS: list[tuple[str, int]] = [
 GOLDEN_CHAIN_DELETIONS = 7
 
 
-@dataclass
-class CheckResult:
-    name: str
-    violations: list[str]
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name violations detail", defaults=("",))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

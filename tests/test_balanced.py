@@ -2,6 +2,8 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delball.balanced import (
     BalancedBallCalculator,
@@ -17,7 +19,7 @@ from delball.balanced import (
     tail_ball_recursive,
 )
 from delball.exact import ball_size, ball_size_all, enumerate_ball
-from delball.words import balanced_tail_word, balanced_word, parse_word
+from delball.words import balanced_tail_word, balanced_word, canonical_profile, parse_word
 
 
 # --- independent oracles -------------------------------------------------
@@ -251,3 +253,34 @@ def test_recursion_depth_independent_of_run_count():
     assert ball_recursive(1500, 1, 3, 1600) == ball_size(balanced_word(1500, 1, 1600), 3)
     assert ball_closed(1500, 1, 3, 1600) == 561375500
     assert tail_ball_recursive(1500, 2, 3, 3) == ball_size(balanced_tail_word(1500, 2, 3), 3)
+
+
+ROUTES = ("ball_recursive", "ball_closed", "tail_ball_recursive", "tail_ball_closed")
+
+
+@st.composite
+def query_sequences(draw):
+    """(q, k, queries): (route, r, t) triples with r <= 12 and t in [-1, rk + 1]."""
+    q, k = draw(st.integers(2, 7)), draw(st.integers(1, 5))
+    queries = []
+    for _ in range(draw(st.integers(1, 10))):
+        r = draw(st.integers(0, 12))
+        queries.append((draw(st.sampled_from(ROUTES)), r, draw(st.integers(-1, r * k + 1))))
+    return q, k, queries
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(query_sequences())
+def test_answers_do_not_depend_on_query_order(case):
+    # The routes share one calculator, whose tables each query fills in part:
+    # every answer must equal the DP's and a fresh calculator's.
+    q, k, queries = case
+    shared = BalancedBallCalculator(k, q)
+    for route, r, t in queries:
+        if route.startswith("tail"):
+            row = ball_size_all(balanced_tail_word(r, k, q)) if r else []
+        else:
+            row = ball_size_all(canonical_profile((k,) * r, q))
+        expected = row[t] if 0 <= t < len(row) else 0
+        fresh = getattr(BalancedBallCalculator(k, q), route)(r, t)
+        assert getattr(shared, route)(r, t) == fresh == expected, (route, r, t)

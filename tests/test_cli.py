@@ -424,6 +424,21 @@ def test_cli_import_footprint():
         assert callable(getattr(cli, name))
 
 
+def test_oracles_import_without_dataclasses():
+    # The value classes of the oracles and the suites are named tuples too.
+    src = str(Path(delball.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import sys, delball.balanced, delball.selftest; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
+
+
 def test_package_exports_resolve_to_submodule_objects():
     namespace = {}
     exec("from delball import *", namespace)
@@ -436,17 +451,22 @@ def test_package_exports_resolve_to_submodule_objects():
     assert delball.bounds is sys.modules["delball.bounds"]
 
 
-def launch(*argv, stdout=subprocess.PIPE, unbuffered=False):
+def launch(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, unbuffered=False, closed_fd=None,
+           budget=None):
     """Run ``python -m delball`` as its own process; stdout is block-buffered
-    (as whenever it is a file or a pipe) unless ``unbuffered``."""
+    (as whenever it is a file or a pipe) unless ``unbuffered``.  ``closed_fd``
+    is closed in the child before it starts, as a shell's ``n>&-`` does."""
     src = str(Path(delball.__file__).resolve().parent.parent)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    if budget is not None:
+        env["DELBALL_ENUM_BUDGET"] = str(budget)
     return subprocess.run(
         [sys.executable, "-m", "delball", *argv],
-        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        stdout=stdout, stderr=stderr, env=env, text=True, timeout=120,
+        preexec_fn=None if closed_fd is None else (lambda: os.close(closed_fd)),
     )
 
 
@@ -481,6 +501,39 @@ def test_stdout_pipe_closed_before_launch_exit_4():
         finally:
             os.close(write_end)
         assert_one_line(result, 4, "cannot write output")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/full is Linux-only")
+@pytest.mark.parametrize("unbuffered", (False, True))
+def test_unwritable_stderr_keeps_exit_code(unbuffered):
+    # stderr on a full device, closed, or open for reading only: the line is
+    # lost, but the exit code is the one a writable stderr gets, and nothing
+    # reaches stdout in its place.
+    for stderr_mode in ("full", "closed", "read-only"):
+        with open("/dev/full", "wb") as full, open(os.devnull, "rb") as read_only:
+            stderr = {"full": full, "closed": subprocess.PIPE, "read-only": read_only}[stderr_mode]
+            closed_fd = 2 if stderr_mode == "closed" else None
+            how = {"stderr": stderr, "closed_fd": closed_fd, "unbuffered": unbuffered}
+            bad_symbol = launch("count", "--word", "01!", "-t", "1", **how)
+            refused = launch(
+                "count", "--word", "0101010101", "-t", "5", "--method", "enumerate", budget=10, **how
+            )
+            unwritable = launch("count", "--word", "0101", "-t", "1", stdout=full, **how)
+        assert (bad_symbol.returncode, bad_symbol.stdout) == (2, ""), stderr_mode
+        assert (refused.returncode, refused.stdout) == (3, ""), stderr_mode
+        assert unwritable.returncode == 4, stderr_mode
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="closes a descriptor in the child")
+def test_closed_stdout_exit_4_unless_output_goes_to_file(tmp_path):
+    result = launch("count", "--word", "0101", "-t", "1", closed_fd=1)
+    assert_one_line(result, 4, "cannot write output: stdout is closed")
+
+    target = tmp_path / "rows.csv"
+    argv = ("sweep", "--q", "3", "--n", "12", "--r", "4", "--t", "0..3")
+    result = launch(*argv, "--out", str(target), closed_fd=1)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert target.read_text() == launch(*argv).stdout
 
 
 def test_sizes_past_index_range_exit_3():
