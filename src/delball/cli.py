@@ -10,8 +10,9 @@ Exit codes: 0 success, 2 input error, 3 enumeration budget refusal or a
 request too large for this machine (out of memory, or a size past its
 index range), 4 output I/O error (stdout, also when closed at launch, or
 ``--out``).  Subcommands only parse, compute and print; ``main`` maps every
-failure to its code and one line on stderr, which an unwritable stderr
-loses without changing the code.
+failure to its code and one line on stderr (argparse's usage text for a
+usage error), which an unwritable stderr loses without changing the code.
+``--help`` writes to stdout under the same table.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .bounds import COLUMN_ORDER, report_for_params, sweep_reports
 from .exact import EnumerationBudgetError, ball_size, canonical_ball_size, enumerate_ball
 from .ops import balancing_chain
 from .words import (
+    SYMBOL_CHARS,
     RunProfile,
     Word,
     canonical_symbols,
@@ -48,10 +50,27 @@ def _drop_pending(stream) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
-def _fail(message: str, code: int) -> int:
+class _UsageError(Exception):
+    """A usage error, carrying argparse's usage text and error line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose output and exits go through ``main``'s table."""
+
+    def error(self, message: str):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+    def print_help(self, file=None) -> None:
+        file = sys.stdout if file is None else file
+        if file is None:
+            raise OSError("stdout is closed")
+        file.write(self.format_help())  # a failed write raises, and main exits 4
+
+
+def _fail(message: str, code: int, prefix: str = "delball: ") -> int:
     try:  # a closed (None) or unwritable stderr loses the line, not the exit code
         if sys.stderr is not None:
-            print(f"delball: {message}", file=sys.stderr)
+            print(f"{prefix}{message}", file=sys.stderr)
     except OSError:
         _drop_pending(sys.stderr)
     return code
@@ -155,7 +174,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
     rows = [
         (
             str(step.index),
-            step.profile.to_word().text(),
+            _word_text(step.profile),
             ",".join(str(x) for x in step.profile.lengths),
             str(step.sum_of_squares),
             decimal(step.ball_size),
@@ -170,6 +189,14 @@ def cmd_chain(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _word_text(profile: RunProfile) -> str:
+    """``profile.to_word().text()``, built run by run."""
+    try:
+        return "".join(SYMBOL_CHARS[a] * x for x, a in zip(profile.lengths, profile.symbols))
+    except IndexError:
+        return profile.to_word().text()  # raises its ValueError: no text form past 36 symbols
+
+
 def cmd_selftest(args: argparse.Namespace) -> int:
     from . import selftest
 
@@ -177,7 +204,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delball",
         description="Deletion-ball sizes of q-ary words: exact values, bounds, sweeps.",
     )
@@ -234,14 +261,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if sys.stdout is None and getattr(args, "out", "-") == "-":
-            raise OSError("stdout is closed")  # launched with >&-: print would drop the output
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as done:  # after --help; usage errors raise _UsageError
+            code = done.code
+        else:
+            if sys.stdout is None and getattr(args, "out", "-") == "-":
+                raise OSError("stdout is closed")  # launched with >&-: print would drop the output
+            code = args.func(args)
         if sys.stdout is not None:  # None only when the output goes to --out
             sys.stdout.flush()  # so a failed write ends here, not in Python's exit flush
         return code
+    except _UsageError as exc:
+        return _fail(str(exc), EXIT_INPUT, prefix="")
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
     except EnumerationBudgetError as exc:

@@ -11,30 +11,32 @@ Two independent routes compute the ball size:
   guard) once the number of candidate subsequences C(n, t) grows past a
   configurable limit, because every candidate is generated.
 * ``ball_size`` runs a distinct-subsequence dynamic program and is the
-  workhorse.  It takes a Word or its RunProfile, one pass over the row
-  per run of any length.  The row keeps only the lengths that can still
-  reach n - t, a band at most min(t, n - t) + 1 wide, so one value costs
-  about runs * min(t, n - t) big-integer operations whatever the run
-  lengths (plus O(n) to group a Word).  ``ball_size_all`` keeps the lengths
-  of a range of t in one row, every length by default (about runs * n / 2
-  operations).
+  workhorse.  It takes a Word or its RunProfile and folds ``_run_update``
+  over the runs, one pass over the row per run of any length.  The row
+  keeps only the lengths that can still reach n - t, a band at most
+  min(t, n - t) + 1 wide, so one value costs about runs * min(t, n - t)
+  big-integer operations whatever the run lengths (plus O(n) to group a
+  Word).  ``ball_size_all`` keeps the lengths of a range of t in one row,
+  every length by default (about runs * n / 2 operations).
 
-One ``ball_size`` predicted to visit at least SPLIT_MIN_CELLS DP cells runs
-on two cores.  It is cut at the run c that halves the prediction:
-P = runs[:c] has h symbols, S = runs[c:] the rest, and L = n - t.  Every
-distinct subsequence factors uniquely at h through its leftmost embedding,
-so
+A prefix P = runs[:c] of h symbols and the rest S join at h (``_join``):
+every distinct subsequence factors uniquely there through its leftmost
+embedding, so with L = n - t
 
     count(L) = row_P[L] + sum over a, k of g_a[k] * s'_a[L - k - 1],
 
 with g_a = row_P - (P's row before its last a), or row_P if a is not in P,
 and s'_a the row of reversed S before its last a, which counts the
-subsequences of S that start with a (0 if a is not in S).  The module
-``split`` runs the DP forward over P in this process and over reversed S
-in a forked child at the same time.  The split is taken only on Linux with
-os.fork, two CPUs in the affinity mask and no second live thread;
-otherwise, and below the cell threshold, the plain single-pass DP runs.
-``ball_size_all`` never splits.
+subsequences of S that start with a (0 if a is not in S).  Two routes use
+it.  One ``ball_size`` predicted to visit at least SPLIT_MIN_CELLS DP
+cells runs on two cores, cut at the run that halves the prediction: the
+module ``split`` folds P in this process and reversed S in a forked child
+at the same time.  The split is taken only on Linux with os.fork, two CPUs
+in the affinity mask and no second live thread; otherwise, and below the
+cell threshold, the plain single-pass DP runs.  ``ball_size_all`` never
+splits.  ``_ball_sizes`` counts a sequence of profiles that differ in a
+few runs, such as a balancing chain: it keeps the states of P and of
+reversed S at every run boundary and reruns only the runs that change.
 
 ``canonical_ball_size`` is a third route, valid only for words whose run
 symbols increase cyclically; it fills a table over the suffixes of the
@@ -48,6 +50,7 @@ from bisect import bisect_left
 from collections import deque
 from itertools import accumulate, chain, combinations, repeat, zip_longest
 from math import comb
+from operator import mul, sub
 
 from .words import RunProfile, Word, encode_runs
 
@@ -99,16 +102,22 @@ def enumerate_ball(word: Word | RunProfile, t: int, budget: int | None = None) -
     return {Word(kept, q) for kept in combinations(word.symbols, n - t)}
 
 
-def _distinct_subsequence_counts(
-    profile: RunProfile, shortest: int, longest: int
-) -> tuple[list[int], dict[int, tuple[int, list[int]]]]:
-    """(counts, snapshots): counts[j] = number of distinct length-(shortest + j)
-    subsequences of ``profile``; snapshots[a] = (lo, row), the row before the
-    last a, whose row[j] counts length lo + j.
+_State = tuple[int, int, list[int], dict[int, tuple[int, list[int]]]]
+_START: _State = (0, 0, [1], {})  # no symbol read; never mutated
 
-    Covers the lengths shortest..longest, for 0 <= shortest <= longest <= n.
 
-    The row after a prefix counts its distinct subsequences by length.
+def _run_update(
+    state: _State, x: int, a: int, n: int, shortest: int, longest: int
+) -> tuple[int, list[int], tuple[int, list[int]]]:
+    """(lo, row, snapshot) of the DP state after appending a run of x copies
+    of symbol a; ``snapshot`` is the new row before its last a.
+
+    A state (i, lo, row, snapshots) describes a prefix of i symbols of an
+    n-symbol word: row[j] counts its distinct subsequences of length lo + j,
+    and snapshots[a] = (lo, row) is the row before its last a.  The lengths
+    shortest..longest (0 <= shortest <= longest <= n) are the ones wanted
+    at the end.  Reads ``state`` and changes nothing in it.
+
     Appending symbol a extends every length-(m-1) subsequence by a; those
     extensions that already existed when a was last appended are the ones
     counted by the row snapshot taken just before that occurrence.  So with
@@ -125,38 +134,155 @@ def _distinct_subsequence_counts(
     So g and its prefix sums are 0 below ``lo`` and constant past the row's
     end; both are read lazily, so a run costs the row's width, not x.
     """
-    n = len(profile)
-    lo, row = 0, [1]  # row[j] counts the subsequences of length lo + j
-    before_last: dict[int, tuple[int, list[int]]] = {}  # a -> (lo, row) before the last a
-    i = 0
-    for x, a in zip(profile.lengths, profile.symbols):
-        i += x
-        new_lo = max(0, shortest - (n - i))
-        top = min(i, longest)  # the new row covers lengths new_lo..top
-        p_lo, p_row = before_last.get(a, (0, []))  # a new symbol has an empty snapshot
-        if x == 1:
-            # new[m] = row[m] + row[m-1] - snapshot[m-1], for m >= new_lo
-            if new_lo:  # then lo = new_lo - 1
-                cur, down = row[1:], row[: top - lo]
-            else:
-                cur, down = row, [0, *row[:top]]
-            old = p_row[new_lo - 1 - p_lo : top - p_lo] if new_lo else [0, *p_row[:top]]
-            new = [c + d - b for c, d, b in zip_longest(cur, down, old, fillvalue=0)]
-            before_last[a] = (lo, row)
+    i, lo, row, before_last = state
+    i += x
+    new_lo = max(0, shortest - (n - i))
+    top = min(i, longest)  # the new row covers lengths new_lo..top
+    p_lo, p_row = before_last.get(a, (0, []))  # a new symbol has an empty snapshot
+    if x == 1:
+        # new[m] = row[m] + row[m-1] - snapshot[m-1], for m >= new_lo
+        if new_lo:  # then lo = new_lo - 1
+            cur, down = row[1:], row[: top - lo]
         else:
-            pad = lo - (new_lo - x)  # the windows start at length new_lo - x <= lo
-            old = p_row[lo - p_lo : top - p_lo]
-            gain = [c - b for c, b in zip_longest(row[: top - lo], old, fillvalue=0)]  # g from lo up
-            g = chain(repeat(0, pad), gain, repeat(0))  # g[m - x] for m = new_lo..top
-            sums = list(accumulate(gain, initial=0))  # sums[j] = g summed below lo + j
-            cur = row[new_lo - lo :]
-            cur += [0] * (top - new_lo + 1 - len(cur))  # row[m]
-            above = chain(sums[new_lo - lo :], repeat(sums[-1]))  # g summed below m
-            below = chain(repeat(0, pad), sums, repeat(sums[-1]))  # g summed below m - x
-            new = [c + s - e for c, s, e in zip(cur, above, below)]
-            before_last[a] = (new_lo, [v - d for v, d in zip(new, g)])
-        lo, row = new_lo, new
-    return row, before_last
+            cur, down = row, [0, *row[:top]]
+        old = p_row[new_lo - 1 - p_lo : top - p_lo] if new_lo else [0, *p_row[:top]]
+        new = [c + d - b for c, d, b in zip_longest(cur, down, old, fillvalue=0)]
+        snapshot = (lo, row)
+    else:
+        pad = lo - (new_lo - x)  # the windows start at length new_lo - x <= lo
+        old = p_row[lo - p_lo : top - p_lo]
+        gain = [c - b for c, b in zip_longest(row[: top - lo], old, fillvalue=0)]  # g from lo up
+        g = chain(repeat(0, pad), gain, repeat(0))  # g[m - x] for m = new_lo..top
+        sums = list(accumulate(gain, initial=0))  # sums[j] = g summed below lo + j
+        cur = row[new_lo - lo :]
+        cur += [0] * (top - new_lo + 1 - len(cur))  # row[m]
+        above = chain(sums[new_lo - lo :], repeat(sums[-1]))  # g summed below m
+        below = chain(repeat(0, pad), sums, repeat(sums[-1]))  # g summed below m - x
+        new = [c + s - e for c, s, e in zip(cur, above, below)]
+        snapshot = (new_lo, [v - d for v, d in zip(new, g)])
+    return new_lo, new, snapshot
+
+
+def _advance(state: _State, x: int, a: int, n: int, shortest: int, longest: int) -> _State:
+    """The DP state after appending a run of x copies of symbol a.
+
+    ``state`` is left intact: the new state has its own row and a copy of
+    the snapshot map (O(distinct symbols)), and shares older rows.
+    """
+    lo, row, snapshot = _run_update(state, x, a, n, shortest, longest)
+    return state[0] + x, lo, row, {**state[3], a: snapshot}
+
+
+def _fold(runs, n: int, shortest: int, longest: int) -> _State:
+    """The state after the (length, symbol) pairs ``runs``, from the empty prefix.
+
+    Only the last state is kept, so one snapshot map is updated in place:
+    a copy per run would make a word over many distinct symbols quadratic.
+    """
+    i, lo, row, snapshots = 0, 0, [1], {}
+    for x, a in runs:
+        lo, row, snapshots[a] = _run_update((i, lo, row, snapshots), x, a, n, shortest, longest)
+        i += x
+    return i, lo, row, snapshots
+
+
+def _distinct_subsequence_counts(
+    profile: RunProfile, shortest: int, longest: int
+) -> tuple[list[int], dict[int, tuple[int, list[int]]]]:
+    """(counts, snapshots): counts[j] = number of distinct length-(shortest + j)
+    subsequences of ``profile``; snapshots[a] = (lo, row), the row before the
+    last a, whose row[j] counts length lo + j.
+
+    Covers the lengths shortest..longest, for 0 <= shortest <= longest <= n:
+    one ``_run_update`` per run.
+    """
+    runs = zip(profile.lengths, profile.symbols)
+    return _fold(runs, len(profile), shortest, longest)[2:]
+
+
+def _window(snapshot: tuple[int, list[int]], first: int, last: int) -> list[int]:
+    """A snapshot's counts for the lengths first..last (first >= its lo)."""
+    lo, row = snapshot
+    part = row[first - lo : last + 1 - lo]
+    return part + [0] * (last + 1 - first - len(part))
+
+
+def _join(prefix_state: _State, suffix_snapshots, n: int, length: int) -> int:
+    """Distinct length-``length`` subsequences of the n-symbol word P.S.
+
+    ``prefix_state`` is P's state from ``_advance`` with shortest = longest
+    = length.  ``suffix_snapshots`` are the (symbol, snapshot) pairs of the
+    state of reversed S with shortest = longest = length - 1 (0 if length
+    is 0), also for an n-symbol word; they are read once, so ``split`` can
+    stream them from a child process.
+
+    The leftmost embedding of a subsequence w puts in P the longest prefix
+    u of w that is a subsequence of P; the rest is empty or a.v with a.v a
+    subsequence of S and u.a not one of P.  Of P's length-k subsequences,
+    g_a[k] = row_P[k] - (P's row before its last a)[k] are not followed by
+    a in P (g_a = row_P if a is not in P); the row of reversed S before its
+    last a, s'_a, counts the v (0 if a is not in S).  So the count is
+    row_P[length] + sum over a and k of g_a[k] * s'_a[length - k - 1].
+    """
+    h, k_lo, row, before_last = prefix_state  # k_lo = max(0, length - (n - h))
+    k_hi = min(h, length)  # u's length
+    j_lo, j_hi = max(0, length - 1 - k_hi), length - 1 - k_lo  # v's length
+    total = row[-1] if k_hi == length else 0
+    gain = row[: j_hi - j_lo + 1]  # k = k_lo..min(k_hi, length - 1)
+    for a, snapshot in suffix_snapshots:
+        own = before_last.get(a)
+        g = gain if own is None else list(map(sub, gain, _window(own, k_lo, k_hi)))
+        total += sum(map(mul, g, reversed(_window(snapshot, j_lo, j_hi))))
+    return total
+
+
+def _ball_sizes(profiles: list[RunProfile], t: int) -> list[int]:
+    """[ball_size(p, t) for p in profiles], rerunning only the runs that change.
+
+    Made for chains of profiles that differ in a few run lengths, like the
+    steps of ``ops.balancing_chain``.  One stack holds the forward DP state
+    after each of the first runs, another the state of the reversed word
+    after each of the last runs.  For each profile the states that read a
+    run changed since the previous profile are popped; the reversed stack
+    is extended down through the last changed run, the forward stack up to
+    meet it, and the two tops are joined by ``_join``.  A profile whose run
+    symbols or length differ from the previous one starts both stacks over,
+    so the first profile costs one full DP and a later one its changed runs
+    plus one join.  The stacks hold at most r + 2 states, each one band row
+    of at most min(t, n - t) + 1 counts plus one new snapshot row for a
+    run longer than 1: at most about twice the cells ``_split_plan``
+    predicts for one DP.  Never forks.
+    """
+    sizes: list[int] = []
+    key = None
+    for profile in profiles:
+        lengths, symbols, _ = profile
+        n, r = len(profile), len(lengths)
+        if not 0 <= t <= n:
+            sizes.append(0)
+            key = None  # so an equal profile next is counted, not copied from this 0
+            continue
+        if key != (symbols, n):
+            key, old, forward, backward = (symbols, n), lengths, [_START], [_START]
+            first, last = 0, r - 1
+        else:
+            changed = [j for j in range(r) if lengths[j] != old[j]]
+            old = lengths
+            if not changed:
+                sizes.append(sizes[-1])
+                continue
+            first, last = changed[0], changed[-1]
+            del forward[first + 1 :], backward[r - last :]
+        cut, length = max(last, 0), n - t
+        below = max(0, length - 1)
+        while len(backward) <= r - cut:  # backward[j] has read the last j runs
+            j = r - len(backward)
+            backward.append(_advance(backward[-1], lengths[j], symbols[j], n, below, below))
+        while len(forward) <= cut:  # forward[j] has read the first j runs
+            j = len(forward) - 1
+            forward.append(_advance(forward[-1], lengths[j], symbols[j], n, length, length))
+        sizes.append(_join(forward[cut], backward[r - cut][3].items(), n, length))
+    return sizes
 
 
 def ball_size(word: Word | RunProfile, t: int) -> int:

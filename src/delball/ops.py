@@ -7,7 +7,9 @@ balancing step (shifting one unit of length from a longer run to a
 shorter one across a symmetric inner segment) never decreases it.  The
 contracts are exercised by the test suite; the operations themselves only
 transform words.  A balancing chain is a list of ``ChainStep`` rows,
-immutable named tuples.
+immutable named tuples; ``balancing_chain`` builds every step's profile
+first and counts them all in one ``exact._ball_sizes`` call, which reruns
+the DP only over the runs each step changes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .exact import ball_size
+from .exact import _ball_sizes
 from .words import RunProfile, Word, canonical_profile, canonical_word, encode_runs
 
 
@@ -85,15 +87,6 @@ class ChainStep(namedtuple("ChainStep", "index profile ball_size sum_of_squares"
     __slots__ = ()
 
 
-def _make_step(index: int, profile: RunProfile, t: int) -> ChainStep:
-    return ChainStep(
-        index=index,
-        profile=profile,
-        ball_size=ball_size(profile, t),
-        sum_of_squares=sum(x * x for x in profile.lengths),
-    )
-
-
 def _select_pair(lengths: tuple[int, ...]) -> tuple[int, int]:
     """Closest pair of runs whose lengths differ by more than one; ties to the left."""
     r = len(lengths)
@@ -121,14 +114,13 @@ def balancing_chain(word: Word | RunProfile, t: int) -> list[ChainStep]:
     if n % r != 0:
         raise ValueError(f"run count {r} does not divide length {n}")
     k = n // r
-    steps = [_make_step(0, start, t)]
-    if word.alphabet_size < 2:
-        current = start
-    else:
-        current = canonical_profile(start.lengths, word.alphabet_size)
-    steps.append(_make_step(1, current, t))
+    current = start if word.alphabet_size < 2 else canonical_profile(start.lengths, word.alphabet_size)
+    profiles = [start, current]
     while any(x != k for x in current.lengths):
-        p, s = _select_pair(current.lengths)
-        current = balance_step(current, p, s)
-        steps.append(_make_step(len(steps), current, t))
-    return steps
+        current = balance_step(current, *_select_pair(current.lengths))
+        profiles.append(current)
+    sizes = _ball_sizes(profiles, t)
+    return [
+        ChainStep(i, profile, size, sum(x * x for x in profile.lengths))
+        for i, (profile, size) in enumerate(zip(profiles, sizes))
+    ]

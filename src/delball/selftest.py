@@ -24,7 +24,7 @@ from .bounds import (
     sweep_reports,
     unbalanced_lower_bound,
 )
-from .exact import _split_plan, ball_size, ball_size_all, enumerate_ball
+from .exact import _ball_sizes, _split_plan, ball_size, ball_size_all, enumerate_ball
 from .ops import apply_permutation, balance_step, balancing_chain, cyclicize, insert_symbol, reduce_to_binary
 from .split import split_count
 from .words import (
@@ -339,6 +339,43 @@ def check_chain_contract(trials: int, seed: int, max_n: int = 24) -> CheckResult
     return CheckResult("balancing-chain-contract", violations, f"{trials} chains")
 
 
+def check_chain_states(trials: int, seed: int, max_r: int = 8, max_k: int = 4) -> CheckResult:
+    """The ball sizes of a sequence of profiles from reused DP states
+    (``_ball_sizes``, behind ``balancing_chain``) equal one ``ball_size`` per
+    profile: on the balancing chains of seeded words, and on random walks
+    that move one unit between two runs and now and then relabel the runs."""
+    rng = random.Random(seed)
+    violations = []
+    checked = 0
+    for _ in range(trials):
+        q = rng.randint(2, 4)
+        r = rng.randint(1, max_r)
+        n = r * rng.randint(1, max_k)
+        cuts = sorted(rng.sample(range(1, n), r - 1)) if r > 1 else []
+        start = encode_runs(random_run_word(rng, tuple(b - a for a, b in zip([0] + cuts, cuts + [n])), q))
+        t = rng.randint(0, n)
+        chain = balancing_chain(start, t)
+        walk = [start]
+        for _ in range(2 * r):
+            lengths, symbols = list(walk[-1].lengths), walk[-1].symbols
+            j, k = rng.randrange(r), rng.randrange(r)
+            if rng.random() < 0.1:
+                symbols = encode_runs(random_run_word(rng, walk[-1].lengths, q)).symbols
+            elif j != k and lengths[j] > 1:
+                lengths[j] -= 1
+                lengths[k] += 1
+            walk.append(RunProfile(lengths, symbols, q))
+        for name, profiles, sizes in (
+            ("chain", [step.profile for step in chain], [step.ball_size for step in chain]),
+            ("walk", walk, _ball_sizes(walk, t)),
+        ):
+            checked += len(profiles)
+            expected = [ball_size(profile, t) for profile in profiles]
+            if sizes != expected:
+                violations.append(f"{name} from {start.text()} q={q} t={t}: {sizes} != {expected}")
+    return CheckResult("chain-states", violations, f"{checked} profiles")
+
+
 def check_sandwich(trials: int, seed: int) -> CheckResult:
     """Every lower bound <= exact <= every upper bound, for all t of each word."""
     rng = random.Random(seed)
@@ -430,6 +467,7 @@ def suites_for_scale(scale: str) -> list[CheckResult]:
             check_balanced_peel_identities(qs=(2, 3), ks=(1, 2), rs=range(1, 6)),
             check_balance_step(trials=60, seed=105),
             check_chain_contract(trials=25, seed=106, max_n=18),
+            check_chain_states(trials=20, seed=109),
             check_sandwich(trials=60, seed=107),
             check_cyclic_maximum(max_n=9, qs=(2, 3)),
         ]
@@ -445,6 +483,7 @@ def suites_for_scale(scale: str) -> list[CheckResult]:
             check_balanced_peel_identities(),
             check_balance_step(trials=300, seed=105),
             check_chain_contract(trials=100, seed=106),
+            check_chain_states(trials=12, seed=109, max_r=24, max_k=20),
             check_sandwich(trials=300, seed=107),
             check_cyclic_maximum(),
             check_dp_split(trials=40, seed=108),

@@ -559,3 +559,49 @@ def test_count_canonical_unary_alphabet_exit_2():
     result = launch("count", "--word", "000", "--q", "1", "-t", "1", "--method", "canonical")
     assert result.stdout == ""
     assert_one_line(result, 2, "canonical words need an alphabet of at least 2")
+
+
+def test_help_and_usage_errors_as_processes():
+    helped = launch("--help")
+    assert (helped.returncode, helped.stderr) == (0, "")
+    assert helped.stdout.startswith("usage: delball")
+    usage = launch("count", "--word", "01")
+    assert (usage.returncode, usage.stdout) == (2, "")
+    assert usage.stderr.startswith("usage: delball count")
+    required = "delball count: error: the following arguments are required: -t/--deletions\n"
+    assert usage.stderr.endswith(required)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/full is Linux-only")
+@pytest.mark.parametrize("unbuffered", (False, True))
+def test_argparse_exits_follow_the_exit_code_table(unbuffered):
+    with open("/dev/full", "wb") as full:
+        for argv in (("--help",), ("count", "--help")):
+            assert_one_line(launch(*argv, stdout=full, unbuffered=unbuffered), 4, "cannot write output")
+        usage = launch("count", "--word", "01", stderr=full, unbuffered=unbuffered)
+        bad_choice = launch("bogus", stderr=full, unbuffered=unbuffered)
+    assert (usage.returncode, usage.stdout) == (2, "")
+    assert (bad_choice.returncode, bad_choice.stdout) == (2, "")
+    # stderr closed: the usage text is lost, and none of it reaches stdout.
+    closed = launch("count", "--word", "01", closed_fd=2, unbuffered=unbuffered)
+    assert (closed.returncode, closed.stdout) == (2, "")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="closes a descriptor in the child")
+def test_help_with_stdout_closed_exit_4():
+    assert_one_line(launch("--help", closed_fd=1), 4, "cannot write output: stdout is closed")
+
+
+def test_chain_word_column_from_runs(capsys):
+    # The word column is built run by run; past 36 symbols it has no text form.
+    code, out, _ = run_cli(capsys, "chain", "--word", "220001122222", "--q", "5", "-t", "4")
+    rows = [line.split() for line in out.strip().split("\n")[1:]]
+    assert code == 0
+    assert [row[1] for row in rows] == ["220001122222", "001112233333", "001112223333", "000111222333"]
+    for row in rows:
+        lengths = [int(x) for x in row[2].split(",")]
+        assert encode_runs(parse_word(row[1], 5)).lengths == tuple(lengths)
+    word = "0123456789abcdefghijklmnopqrstuvwxyz0123"
+    code, out, err = run_cli(capsys, "chain", "--word", word, "--q", "40", "-t", "3")
+    assert (code, out) == (2, "")
+    assert err == "delball: no text form for alphabet size 40 > 36\n"

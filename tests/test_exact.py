@@ -2,16 +2,18 @@ import os
 import random
 import sys
 import threading
+import time
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delball import split
+from delball import exact, split
 from delball.exact import (
     SPLIT_MIN_CELLS,
     EnumerationBudgetError,
+    _ball_sizes,
     _distinct_subsequence_counts,
     _split_plan,
     ball_size,
@@ -20,6 +22,7 @@ from delball.exact import (
     enumerate_ball,
     enumeration_budget,
 )
+from delball.ops import balance_step, balancing_chain
 from delball.words import RunProfile, Word, canonical_profile, canonical_word, encode_runs, parse_word
 
 
@@ -154,6 +157,13 @@ def test_band_at_large_n():
     assert ball_size_all(word, 0, 1) == [1, encode_runs(word).run_count]
     assert ball_size_all(word, n - 1, n) == [3, 1]
     assert ball_size(Word((0,) * n, 1), 1) == 1
+
+    # n distinct symbols: a snapshot map copied once per run would make
+    # these take minutes instead of about a second.
+    distinct = RunProfile((1,) * n, tuple(range(n)), n)
+    started = time.perf_counter()
+    assert ball_size(distinct, 1) == ball_size(distinct, n - 1) == n
+    assert time.perf_counter() - started < 10
 
 
 def test_runs_far_longer_than_the_band():
@@ -328,6 +338,105 @@ def test_split_fallbacks_give_the_same_value(monkeypatch, forks):
     finally:
         release.set()
         waiter.join()
+
+
+def other_symbol(draw, q, previous):
+    """A symbol in [0, q) other than ``previous`` (any symbol if it is None)."""
+    if previous is None:
+        return draw(st.integers(0, q - 1))
+    a = draw(st.integers(0, q - 2))
+    return a + (a >= previous)
+
+
+@st.composite
+def profile_walks(draw):
+    """(profiles, t): a run profile and a walk from it by balance steps,
+    single-unit moves to the left or right neighbour, long jumps of several
+    units, relabelings, resizes and repeats; t may lie outside [0, n]."""
+    q = draw(st.integers(1, 5))
+    r = 1 if q == 1 else draw(st.integers(1, 8))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=r, max_size=r))
+    symbols = []
+    for _ in range(r):
+        symbols.append(other_symbol(draw, q, symbols[-1] if symbols else None))
+    profiles = [RunProfile(lengths, symbols, q)]
+    moves = ("balance", "left", "right", "jump", "relabel", "resize", "repeat")
+    for move in draw(st.lists(st.sampled_from(moves), max_size=14)):
+        xs, syms = list(profiles[-1].lengths), list(profiles[-1].symbols)
+        j = draw(st.integers(0, r - 1))
+        if move == "balance":
+            pairs = [
+                (p, s)
+                for p in range(1, r)
+                for s in range(p + 1, r + 1)
+                if abs(xs[p - 1] - xs[s - 1]) > 1 and xs[p : s - 1] == xs[p : s - 1][::-1]
+            ]
+            if pairs:
+                profiles.append(balance_step(profiles[-1], *draw(st.sampled_from(pairs))))
+                continue
+        elif move in ("left", "right"):
+            k = j - 1 if move == "left" else j + 1
+            if 0 <= k < r and xs[j] > 1:
+                xs[j], xs[k] = xs[j] - 1, xs[k] + 1
+        elif move == "jump":
+            k, units = draw(st.integers(0, r - 1)), min(draw(st.integers(1, 9)), xs[j] - 1)
+            if k != j:
+                xs[j], xs[k] = xs[j] - units, xs[k] + units
+        elif move == "relabel":
+            syms = []
+            for _ in range(r):
+                syms.append(other_symbol(draw, q, syms[-1] if syms else None))
+        elif move == "resize":
+            xs[j] = max(1, xs[j] + draw(st.sampled_from((-1, 1))))
+        profiles.append(RunProfile(xs, syms, q))
+    n = sum(lengths)
+    return profiles, draw(st.integers(-1, n + 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(profile_walks())
+@example(([RunProfile((5,), (0,), 1)] * 3, 0))  # r = 1, q = 1
+@example(([RunProfile((5,), (0,), 1)] * 2, 5))  # t = n
+@example(([RunProfile((2, 3), (0, 1), 2), RunProfile((3, 2), (0, 1), 2)], 6))  # t > n
+@example(([RunProfile((2, 3), (0, 1), 2), RunProfile((4, 1), (0, 1), 2)], -1))  # t < 0
+@example(([RunProfile((1, 6, 1), (0, 1, 2), 3), RunProfile((6, 1, 1), (0, 1, 2), 3)], 3))
+@example(([RunProfile((2, 3), (0, 1), 2), RunProfile((1, 2), (0, 1), 2), RunProfile((2, 3), (0, 1), 2)], 4))
+@example(([RunProfile((3, 3), (0, 1), 2), RunProfile((3, 3), (1, 0), 2), RunProfile((2, 4), (1, 0), 2)], 2))
+def test_ball_sizes_equal_one_dp_per_profile(walk):
+    profiles, t = walk
+    assert _ball_sizes(profiles, t) == [ball_size(p, t) for p in profiles]
+    start = profiles[0]
+    if len(start) % start.run_count == 0:
+        chain = balancing_chain(start, max(t, 0))
+        assert [s.ball_size for s in chain] == [ball_size(s.profile, max(t, 0)) for s in chain]
+
+
+# The 44-step chain of the seed-1 `count-runs` benchmark request
+# (n = 480, q = 4, t = 240): 44 * 24 = 1,056 run updates done one DP per step.
+CHAIN_LENGTHS = (
+    20, 20, 20, 23, 19, 18, 23, 18, 17, 21, 18, 20, 24, 16, 21, 24, 15, 18, 23, 22, 18, 19, 18, 25
+)
+CHAIN_SYMBOLS = (2, 0, 2, 0, 1, 0, 3, 0, 3, 0, 2, 3, 2, 0, 3, 1, 2, 3, 2, 3, 0, 3, 0, 1)
+
+
+def test_chain_reruns_only_changed_runs(monkeypatch):
+    calls = []
+    advance = exact._advance
+
+    def counted(*args):
+        calls.append(args)
+        return advance(*args)
+
+    def must_not_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(exact, "_advance", counted)
+    monkeypatch.setattr(os, "fork", must_not_fork, raising=False)
+    chain = balancing_chain(RunProfile(CHAIN_LENGTHS, CHAIN_SYMBOLS, 4), 240)
+    assert len(chain) == 44
+    assert len(calls) < 44 * 24 // 3
+    monkeypatch.setattr(exact, "_advance", advance)
+    assert [step.ball_size for step in chain] == [plain(step.profile, 240) for step in chain]
 
 
 def test_canonical_ball_size_table_rows():
