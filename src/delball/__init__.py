@@ -4,8 +4,24 @@ Every public name is exported here but loaded lazily: the first access to
 ``delball.<name>`` (or ``from delball import <name>``) imports the one
 submodule that defines it, so ``import delball`` and the command line load
 only the modules they use.  The submodules that define them resolve the
-same way, as ``delball.bounds`` and so on.
+same way, as ``delball.bounds`` and so on.  ``delball.cli`` resolves its
+layer entry points through this table too.
+
+``COLUMN_ORDER`` is defined here rather than in ``bounds``, whose reports
+it orders, so that the command line's help can name the columns without
+loading ``bounds``.
 """
+
+COLUMN_ORDER = (
+    "exact",
+    "lev_lower",
+    "lev_upper",
+    "hr_lower",
+    "hr_upper",
+    "ch_upper",
+    "new_lower",
+    "new_upper",
+)
 
 _EXPORTS = {
     name: module
@@ -42,14 +58,17 @@ __all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str) -> object:
-    """Import the submodule that defines ``name`` (or is named ``name``) and return it."""
+    """Import the submodule that defines ``name`` (or is named ``name``) and return it.
+
+    ``__import__`` is the import statement's own path, so ``-X importtime``
+    lists the submodule, which it does not for ``importlib.import_module``.
+    """
     module = _EXPORTS.get(name)
     if module is None and name not in _EXPORTS.values():
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
+    submodule = __import__(f"{__name__}.{module or name}", fromlist=[name])
     if module is None:
-        return import_module(f"{__name__}.{name}")  # binds itself on the package
-    value = getattr(import_module(f"{__name__}.{module}"), name)
+        return submodule  # bound on the package by the import
+    value = getattr(submodule, name)
     globals()[name] = value
     return value

@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
+from . import COLUMN_ORDER
 from .binomials import binomial
 from .exact import ball_size, ball_size_all
 from .words import (
@@ -43,17 +44,6 @@ from .words import (
     decimal,
     encode_runs,
     unbalanced_profile,
-)
-
-COLUMN_ORDER = (
-    "exact",
-    "lev_lower",
-    "lev_upper",
-    "hr_lower",
-    "hr_upper",
-    "ch_upper",
-    "new_lower",
-    "new_upper",
 )
 
 

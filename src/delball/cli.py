@@ -13,6 +13,16 @@ index range), 4 output I/O error (stdout, also when closed at launch, or
 failure to its code and one line on stderr (argparse's usage text for a
 usage error), which an unwritable stderr loses without changing the code.
 ``--help`` writes to stdout under the same table.
+
+Every launch is a fresh interpreter, so this module imports no layer at
+its top: each command loads the modules it runs on first use.  ``--help``
+and a usage error load no delball module but this one and the package;
+``count`` adds ``words`` and ``exact`` (``split`` only when a count
+forks), ``chain`` those and ``ops``, ``bounds`` and ``sweep`` those of
+``count`` and ``binomials`` and ``bounds``.  The commands call the package exports they use (such as
+``ball_size``) as attributes of this module, which the module
+``__getattr__`` resolves through the package's lazy table, so a
+``setattr`` on the module replaces what a command calls.
 """
 
 from __future__ import annotations
@@ -23,25 +33,30 @@ import re
 import sys
 from collections.abc import Sequence
 
-from .bounds import COLUMN_ORDER, report_for_params, sweep_reports
-from .exact import EnumerationBudgetError, ball_size, canonical_ball_size, enumerate_ball
-from .ops import balancing_chain
-from .words import (
-    SYMBOL_CHARS,
-    RunProfile,
-    Word,
-    canonical_symbols,
-    check_deletions,
-    decimal,
-    encode_runs,
-    parse_run_profile,
-    parse_word,
-)
+from . import COLUMN_ORDER, _EXPORTS
+
+_cli = sys.modules[__name__]  # the commands look their layer calls up here, when they run
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
+
+
+def __getattr__(name: str) -> object:
+    """The package export ``name`` (``cli.ball_size`` and so on), imported on first use."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(sys.modules[__package__], name)
+    globals()[name] = value
+    return value
+
+
+def _budget_error() -> type[Exception] | tuple[()]:
+    """``EnumerationBudgetError`` once ``exact`` (which alone raises it) is
+    loaded, else an empty tuple, which no exception matches."""
+    exact = sys.modules.get(f"{__package__}.exact")
+    return () if exact is None else exact.EnumerationBudgetError
 
 
 def _drop_pending(stream) -> None:
@@ -78,8 +93,8 @@ def _fail(message: str, code: int, prefix: str = "delball: ") -> int:
 
 def _word_from_args(args: argparse.Namespace) -> Word | RunProfile:
     if args.word is not None:
-        return parse_word(args.word, args.q)
-    return parse_run_profile(args.runs, args.q)
+        return _cli.parse_word(args.word, args.q)
+    return _cli.parse_run_profile(args.runs, args.q)
 
 
 def _parse_t_range(text: str) -> tuple[int, int]:
@@ -90,27 +105,29 @@ def _parse_t_range(text: str) -> tuple[int, int]:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from .words import canonical_symbols, check_deletions, decimal
+
     t = args.deletions
     word = _word_from_args(args)
     check_deletions(len(word), (t,))
     if args.method == "enumerate":
-        value = len(enumerate_ball(word, t))
+        value = len(_cli.enumerate_ball(word, t))
     elif args.method == "canonical":
-        profile = encode_runs(word)
+        profile = _cli.encode_runs(word)
         if profile.symbols != canonical_symbols(profile.run_count, word.alphabet_size):
             raise ValueError(
                 "canonical method needs run symbols 0, 1, ... cycling mod min(r, q); "
                 "use --method dp for arbitrary words"
             )
-        value = canonical_ball_size(profile.lengths, word.alphabet_size, t)
+        value = _cli.canonical_ball_size(profile.lengths, word.alphabet_size, t)
     else:  # auto and dp both run the DP
-        value = ball_size(word, t)
+        value = _cli.ball_size(word, t)
     print(decimal(value))
     return EXIT_OK
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    report = report_for_params(args.q, args.n, args.r, args.deletions, with_exact=args.exact)
+    report = _cli.report_for_params(args.q, args.n, args.r, args.deletions, with_exact=args.exact)
     import json
 
     print(json.dumps(report.to_json_dict(), indent=2))
@@ -122,12 +139,14 @@ def sweep_text(
 ) -> str:
     """Deterministic CSV or JSON text for one sweep (rows in ascending t)."""
     ordered = [c for c in COLUMN_ORDER if c in columns]
-    reports = sweep_reports(q, n, r, range(t_lo, t_hi + 1), with_exact="exact" in ordered)
+    reports = _cli.sweep_reports(q, n, r, range(t_lo, t_hi + 1), with_exact="exact" in ordered)
     if fmt == "csv":
         lines = ["t," + ",".join(ordered)]
         lines.extend(rep.csv_row(ordered) for rep in reports)
         return "\n".join(lines) + "\n"
     import json
+
+    from .words import decimal
 
     payload = {
         "q": q,
@@ -160,8 +179,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
-    word = parse_word(args.word, args.q)
-    profile = encode_runs(word)
+    from .words import check_deletions, decimal
+
+    word = _cli.parse_word(args.word, args.q)
+    profile = _cli.encode_runs(word)
     r, n = profile.run_count, len(word)
     check_deletions(n, (args.deletions,))
     if r and n % r:  # balancing_chain rejects r = 0 itself
@@ -170,7 +191,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
             f"The padded balanced bound (k = ceil(n/r)) is still available via "
             f"`delball bounds --q {word.alphabet_size} --n {n} --r {r} -t {args.deletions}`."
         )
-    chain = balancing_chain(profile, args.deletions)
+    chain = _cli.balancing_chain(profile, args.deletions)
     rows = [
         (
             str(step.index),
@@ -191,6 +212,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
 
 def _word_text(profile: RunProfile) -> str:
     """``profile.to_word().text()``, built run by run."""
+    from .words import SYMBOL_CHARS
+
     try:
         return "".join(SYMBOL_CHARS[a] * x for x, a in zip(profile.lengths, profile.symbols))
     except IndexError:
@@ -277,7 +300,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(str(exc), EXIT_INPUT, prefix="")
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
-    except EnumerationBudgetError as exc:
+    except _budget_error() as exc:
         return _fail(str(exc), EXIT_BUDGET)
     except MemoryError:
         return _fail("out of memory: the request is too large for this machine", EXIT_BUDGET)

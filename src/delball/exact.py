@@ -236,6 +236,14 @@ def _join(prefix_state: _State, suffix_snapshots, n: int, length: int) -> int:
     return total
 
 
+def _changed_runs(old: RunProfile | None, new: RunProfile | None) -> list[int] | None:
+    """The indices of the runs whose length differs from ``old`` to ``new``,
+    or None when either is None or the two differ in run symbols or length."""
+    if old is None or new is None or (old.symbols, len(old)) != (new.symbols, len(new)):
+        return None
+    return [j for j, (x, y) in enumerate(zip(old.lengths, new.lengths)) if x != y]
+
+
 def _ball_sizes(profiles: list[RunProfile], t: int) -> list[int]:
     """[ball_size(p, t) for p in profiles], rerunning only the runs that change.
 
@@ -243,37 +251,38 @@ def _ball_sizes(profiles: list[RunProfile], t: int) -> list[int]:
     steps of ``ops.balancing_chain``.  One stack holds the forward DP state
     after each of the first runs, another the state of the reversed word
     after each of the last runs.  For each profile the states that read a
-    run changed since the previous profile are popped; the reversed stack
-    is extended down through the last changed run, the forward stack up to
-    meet it, and the two tops are joined by ``_join``.  A profile whose run
-    symbols or length differ from the previous one starts both stacks over,
-    so the first profile costs one full DP and a later one its changed runs
-    plus one join.  The stacks hold at most r + 2 states, each one band row
-    of at most min(t, n - t) + 1 counts plus one new snapshot row for a
-    run longer than 1: at most about twice the cells ``_split_plan``
-    predicts for one DP.  Never forks.
+    run changed since the previous profile are popped; the two stacks are
+    extended through the changed runs to meet at a cut, and their tops are
+    joined by ``_join``.  Any cut from the first changed run to just past
+    the last costs the same; it is placed as near as it can be to the runs
+    the next profile changes, so that the next profile pops the fewest
+    states.  A profile whose run symbols or length differ from the previous
+    one starts both stacks over, so the first profile costs one full DP and
+    a later one its changed runs plus one join.  The stacks hold at most
+    r + 2 states, each one band row of at most min(t, n - t) + 1 counts
+    plus one new snapshot row for a run longer than 1: at most about twice
+    the cells ``_split_plan`` predicts for one DP.  Never forks.
     """
     sizes: list[int] = []
-    key = None
-    for profile in profiles:
+    for before, profile, after in zip([None, *profiles], profiles, [*profiles[1:], None]):
         lengths, symbols, _ = profile
         n, r = len(profile), len(lengths)
-        if not 0 <= t <= n:
+        if not 0 <= t <= n:  # so is a next profile of length n; a longer one starts over
             sizes.append(0)
-            key = None  # so an equal profile next is counted, not copied from this 0
             continue
-        if key != (symbols, n):
-            key, old, forward, backward = (symbols, n), lengths, [_START], [_START]
+        changed = _changed_runs(before, profile)
+        if changed is None:
+            forward, backward = [_START], [_START]
             first, last = 0, r - 1
+        elif not changed:
+            sizes.append(sizes[-1])
+            continue
         else:
-            changed = [j for j in range(r) if lengths[j] != old[j]]
-            old = lengths
-            if not changed:
-                sizes.append(sizes[-1])
-                continue
             first, last = changed[0], changed[-1]
             del forward[first + 1 :], backward[r - last :]
-        cut, length = max(last, 0), n - t
+        ahead = _changed_runs(profile, after)
+        cut = min(max(ahead[0] if ahead else last, first), last + 1)
+        length = n - t
         below = max(0, length - 1)
         while len(backward) <= r - cut:  # backward[j] has read the last j runs
             j = r - len(backward)

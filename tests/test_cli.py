@@ -401,6 +401,20 @@ def test_selftest_small(capsys):
     assert "FAIL" not in out
 
 
+# Launches, their exit codes and the delball modules past the package and
+# cli that each loads.
+LAUNCH_MODULES = (
+    (("--help",), 0, ()),
+    (("count", "--help"), 0, ()),
+    (("count", "--word", "0101"), 2, ()),  # a usage error: -t is missing
+    (("count", "--word", "0101", "-t", "1"), 0, ("exact", "words")),
+    (("count", "--runs", "2,2;0,1", "-t", "1", "--method", "canonical"), 0, ("exact", "words")),
+    (("chain", "--word", "0011", "-t", "1"), 0, ("exact", "ops", "words")),
+    (("bounds", "--q", "3", "--n", "12", "--r", "4", "-t", "2"), 0, ("binomials", "bounds", "exact", "words")),
+    (("sweep", "--q", "3", "--n", "12", "--r", "4", "--t", "0..2"), 0, ("binomials", "bounds", "exact", "words")),
+)
+
+
 def test_cli_import_footprint():
     # A command-line launch should not load the oracles, the test suites or
     # dataclasses (which pulls in inspect, ast and dis) before it needs them.
@@ -417,11 +431,57 @@ def test_cli_import_footprint():
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
 
-    # Layer entry points that callers patch on the cli module.
-    for name in (
-        "parse_word", "parse_run_profile", "encode_runs", "ball_size", "sweep_reports", "balancing_chain",
-    ):
-        assert callable(getattr(cli, name))
+    # Each launch loads only the layers its command runs: `python -m delball`
+    # run by runpy, with the loaded delball modules as the last stderr line.
+    script = (
+        "import atexit, runpy, sys; "
+        "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.split('.')[0] == 'delball'), "
+        "file=sys.stderr)); "
+        "runpy.run_module('delball', run_name='__main__', alter_sys=True)"
+    )
+
+    def launched(*argv, **options):
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60,
+            **options,
+        )
+        return result.returncode, result.stderr.splitlines()[-1].split()
+
+    for argv, code, layers in LAUNCH_MODULES:
+        modules = sorted(["delball", "delball.cli", *(f"delball.{m}" for m in layers)])
+        assert launched(*argv) == (code, modules), argv
+    # main's except clauses, down to OSError, load no layer either.
+    assert launched("--help", preexec_fn=lambda: os.close(1)) == (4, ["delball", "delball.cli"])
+
+
+# Each layer entry point that callers (the traced benchmark runner among
+# them) replace on the cli module, and a command that calls it once.
+PATCHED_ENTRY_POINTS = (
+    ("parse_word", ("count", "--word", "0101", "-t", "1")),
+    ("parse_run_profile", ("count", "--runs", "2,2;0,1", "-t", "1")),
+    ("encode_runs", ("chain", "--word", "0011", "-t", "1")),
+    ("ball_size", ("count", "--word", "0101", "-t", "1")),
+    ("sweep_reports", ("sweep", "--q", "3", "--n", "12", "--r", "4", "--t", "0..2")),
+    ("balancing_chain", ("chain", "--word", "0011", "-t", "1")),
+)
+
+
+@pytest.mark.parametrize("name, argv", PATCHED_ENTRY_POINTS)
+def test_setattr_on_cli_intercepts_command(capsys, monkeypatch, name, argv):
+    real = getattr(cli, name)
+    assert real is getattr(delball, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, len(calls)) == (0, 1)
+    monkeypatch.undo()
+    assert getattr(cli, name) is real
+    assert run_cli(capsys, *argv)[:2] == (0, out)
 
 
 def test_oracles_import_without_dataclasses():

@@ -434,7 +434,9 @@ def test_chain_reruns_only_changed_runs(monkeypatch):
     monkeypatch.setattr(os, "fork", must_not_fork, raising=False)
     chain = balancing_chain(RunProfile(CHAIN_LENGTHS, CHAIN_SYMBOLS, 4), 240)
     assert len(chain) == 44
-    assert len(calls) < 44 * 24 // 3
+    # Each cut sits where the next step's changes begin: 181 run updates,
+    # against 213 with the cut at the last changed run.
+    assert len(calls) <= 181
     monkeypatch.setattr(exact, "_advance", advance)
     assert [step.ball_size for step in chain] == [plain(step.profile, 240) for step in chain]
 
@@ -463,3 +465,14 @@ def test_canonical_ball_size_matches_dp():
         for t in range(-1, n + 2):
             expected = sizes[t] if 0 <= t <= n else 0
             assert canonical_ball_size(lengths, q, t) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 5), st.lists(st.integers(1, 6), max_size=10))
+@example(2, [])
+@example(5, [6] * 10)
+def test_canonical_ball_size_equals_dp_property(q, lengths):
+    profile = canonical_profile(lengths, q)
+    assert encode_runs(profile.to_word()) == profile
+    for t in range(-1, len(profile) + 2):
+        assert canonical_ball_size(lengths, q, t) == ball_size(profile, t)
