@@ -11,13 +11,14 @@ Two independent routes compute the ball size:
   guard) once the number of candidate subsequences C(n, t) grows past a
   configurable limit, because every candidate is generated.
 * ``ball_size`` runs a distinct-subsequence dynamic program and is the
-  workhorse.  It takes a Word or its RunProfile and folds ``_run_update``
-  over the runs, one pass over the row per run of any length.  The row
-  keeps only the lengths that can still reach n - t, a band at most
-  min(t, n - t) + 1 wide, so one value costs about runs * min(t, n - t)
-  big-integer operations whatever the run lengths (plus O(n) to group a
-  Word).  ``ball_size_all`` keeps the lengths of a range of t in one row,
-  every length by default (about runs * n / 2 operations).
+  workhorse.  It takes a Word or its RunProfile, and ``_fold``, the one
+  loop over runs, applies ``_run_update`` to each: one pass over the row
+  per run of any length.  The row keeps only the lengths that can still
+  reach n - t, a band at most min(t, n - t) + 1 wide, so one value costs
+  about runs * min(t, n - t) big-integer operations whatever the run
+  lengths (plus O(n) to group a Word).  ``ball_size_all`` keeps the
+  lengths of a range of t in one row, every length by default (about
+  runs * n / 2 operations); ``ball_size`` is its one-t case.
 
 A prefix P = runs[:c] of h symbols and the rest S join at h (``_join``):
 every distinct subsequence factors uniquely there through its leftmost
@@ -36,7 +37,8 @@ in the affinity mask and no second live thread; otherwise, and below the
 cell threshold, the plain single-pass DP runs.  ``ball_size_all`` never
 splits.  ``_ball_sizes`` counts a sequence of profiles that differ in a
 few runs, such as a balancing chain: it keeps the states of P and of
-reversed S at every run boundary and reruns only the runs that change.
+reversed S at every run boundary and reruns only the runs that change,
+folding each from the state before it.
 
 ``canonical_ball_size`` is a third route, valid only for words whose run
 symbols increase cyclically; it fills a table over the suffixes of the
@@ -163,41 +165,21 @@ def _run_update(
     return new_lo, new, snapshot
 
 
-def _advance(state: _State, x: int, a: int, n: int, shortest: int, longest: int) -> _State:
-    """The DP state after appending a run of x copies of symbol a.
+def _fold(runs, n: int, shortest: int, longest: int, state: _State = _START) -> _State:
+    """The state after the (length, symbol) pairs ``runs``, read from ``state``
+    (the empty prefix by default); one ``_run_update`` per run.
 
-    ``state`` is left intact: the new state has its own row and a copy of
-    the snapshot map (O(distinct symbols)), and shares older rows.
+    ``state`` is left intact: its snapshot map is copied once (O(distinct
+    symbols)) and the copy is updated in place, and the new state shares
+    older rows with it.  A copy per run would make a word over many
+    distinct symbols quadratic.
     """
-    lo, row, snapshot = _run_update(state, x, a, n, shortest, longest)
-    return state[0] + x, lo, row, {**state[3], a: snapshot}
-
-
-def _fold(runs, n: int, shortest: int, longest: int) -> _State:
-    """The state after the (length, symbol) pairs ``runs``, from the empty prefix.
-
-    Only the last state is kept, so one snapshot map is updated in place:
-    a copy per run would make a word over many distinct symbols quadratic.
-    """
-    i, lo, row, snapshots = 0, 0, [1], {}
+    i, lo, row, snapshots = state
+    snapshots = dict(snapshots)
     for x, a in runs:
         lo, row, snapshots[a] = _run_update((i, lo, row, snapshots), x, a, n, shortest, longest)
         i += x
     return i, lo, row, snapshots
-
-
-def _distinct_subsequence_counts(
-    profile: RunProfile, shortest: int, longest: int
-) -> tuple[list[int], dict[int, tuple[int, list[int]]]]:
-    """(counts, snapshots): counts[j] = number of distinct length-(shortest + j)
-    subsequences of ``profile``; snapshots[a] = (lo, row), the row before the
-    last a, whose row[j] counts length lo + j.
-
-    Covers the lengths shortest..longest, for 0 <= shortest <= longest <= n:
-    one ``_run_update`` per run.
-    """
-    runs = zip(profile.lengths, profile.symbols)
-    return _fold(runs, len(profile), shortest, longest)[2:]
 
 
 def _window(snapshot: tuple[int, list[int]], first: int, last: int) -> list[int]:
@@ -210,7 +192,7 @@ def _window(snapshot: tuple[int, list[int]], first: int, last: int) -> list[int]
 def _join(prefix_state: _State, suffix_snapshots, n: int, length: int) -> int:
     """Distinct length-``length`` subsequences of the n-symbol word P.S.
 
-    ``prefix_state`` is P's state from ``_advance`` with shortest = longest
+    ``prefix_state`` is P's state from ``_fold`` with shortest = longest
     = length.  ``suffix_snapshots`` are the (symbol, snapshot) pairs of the
     state of reversed S with shortest = longest = length - 1 (0 if length
     is 0), also for an n-symbol word; they are read once, so ``split`` can
@@ -286,10 +268,10 @@ def _ball_sizes(profiles: list[RunProfile], t: int) -> list[int]:
         below = max(0, length - 1)
         while len(backward) <= r - cut:  # backward[j] has read the last j runs
             j = r - len(backward)
-            backward.append(_advance(backward[-1], lengths[j], symbols[j], n, below, below))
+            backward.append(_fold([(lengths[j], symbols[j])], n, below, below, backward[-1]))
         while len(forward) <= cut:  # forward[j] has read the first j runs
             j = len(forward) - 1
-            forward.append(_advance(forward[-1], lengths[j], symbols[j], n, length, length))
+            forward.append(_fold([(lengths[j], symbols[j])], n, length, length, forward[-1]))
         sizes.append(_join(forward[cut], backward[r - cut][3].items(), n, length))
     return sizes
 
@@ -311,7 +293,7 @@ def ball_size(word: Word | RunProfile, t: int) -> int:
 
         if split.second_core_free():
             return split.split_count(profile, n - t, cut, fork=True)
-    return _distinct_subsequence_counts(profile, n - t, n - t)[0][0]
+    return ball_size_all(profile, t, t)[0]
 
 
 def _split_plan(profile: RunProfile, length: int) -> tuple[int, int]:
@@ -336,7 +318,8 @@ def ball_size_all(word: Word | RunProfile, t_min: int = 0, t_max: int | None = N
     t_max = n if t_max is None else t_max
     if not 0 <= t_min <= t_max <= n:
         raise ValueError(f"need 0 <= t_min <= t_max <= n={n}, got t_min={t_min}, t_max={t_max}")
-    return _distinct_subsequence_counts(encode_runs(word), n - t_max, n - t_min)[0][::-1]
+    lengths, symbols, _ = encode_runs(word)
+    return _fold(zip(lengths, symbols), n, n - t_max, n - t_min)[2][::-1]
 
 
 def canonical_ball_size(lengths: tuple[int, ...] | list[int], q: int, t: int) -> int:

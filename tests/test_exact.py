@@ -1,3 +1,4 @@
+import copy
 import os
 import random
 import sys
@@ -10,11 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delball import exact, split
+from delball.bounds import report_for_word
 from delball.exact import (
     SPLIT_MIN_CELLS,
     EnumerationBudgetError,
     _ball_sizes,
-    _distinct_subsequence_counts,
+    _fold,
     _split_plan,
     ball_size,
     ball_size_all,
@@ -115,9 +117,9 @@ def test_dp_equals_enumeration_random():
 
 
 @st.composite
-def run_words(draw):
-    """Words of at most 12 symbols over q in 1..4, built from runs of length 1..6."""
-    q = draw(st.integers(1, 4))
+def run_words(draw, min_q=1):
+    """Words of at most 12 symbols over q in min_q..4, built from runs of length 1..6."""
+    q = draw(st.integers(min_q, 4))
     runs = draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(1, 6)), max_size=12))
     symbols = [a for a, x in runs for _ in range(x)][:12]
     return Word(tuple(symbols), q)
@@ -141,6 +143,19 @@ def test_dp_equals_enumeration_property(word):
         assert enumerate_ball(profile, t) == enumerate_ball(word, t)
         if 0 <= t <= n:
             assert sizes[t] == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(run_words(min_q=2).filter(len))
+@example(Word((0,), 2))
+@example(Word((0, 1) * 6, 2))
+@example(Word((2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0), 3))
+def test_bound_sandwich_property(word):
+    n = len(word)
+    for t in range(n + 1):
+        report = report_for_word(word, t)  # raises AssertionError on a violated bound
+        assert report.exact == len(enumerate_ball(word, t))
+        assert report.new_lower <= report.exact <= report.new_upper
 
 
 def test_band_at_large_n():
@@ -210,9 +225,29 @@ def test_split_equals_plain_dp_property(word):
     profile = encode_runs(word)
     n = len(word)
     for t in range(n + 1):
-        expected = _distinct_subsequence_counts(profile, n - t, n - t)[0][0]
+        expected = ball_size_all(profile, t, t)[0]
         for cut in range(profile.run_count + 1):
             assert split.split_count(profile, n - t, cut) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(split_words())
+@example(Word((), 2))
+@example(Word((0, 0, 1, 1, 2, 2), 3))
+@example(Word((4, 4, 4, 3, 0, 1, 2, 0, 1, 2), 5))
+def test_fold_from_a_start_state_property(word):
+    # _ball_sizes extends states its stacks share, so a fold must leave its
+    # start state as it found it.
+    profile = encode_runs(word)
+    runs = list(zip(profile.lengths, profile.symbols))
+    n = len(word)
+    for shortest, longest in [(0, n), *((length, length) for length in range(n + 1))]:
+        whole = _fold(runs, n, shortest, longest)
+        for cut in range(len(runs) + 1):
+            start = _fold(runs[:cut], n, shortest, longest)
+            kept = copy.deepcopy(start)
+            assert _fold(runs[cut:], n, shortest, longest, start) == whole
+            assert start == kept
 
 
 def random_profile(seed, n=1100, q=3):
@@ -221,8 +256,7 @@ def random_profile(seed, n=1100, q=3):
 
 
 def plain(profile, t):
-    n = len(profile)
-    return _distinct_subsequence_counts(profile, n - t, n - t)[0][0]
+    return ball_size_all(profile, t, t)[0]
 
 
 @pytest.fixture
@@ -421,23 +455,23 @@ CHAIN_SYMBOLS = (2, 0, 2, 0, 1, 0, 3, 0, 3, 0, 2, 3, 2, 0, 3, 1, 2, 3, 2, 3, 0, 
 
 def test_chain_reruns_only_changed_runs(monkeypatch):
     calls = []
-    advance = exact._advance
+    run_update = exact._run_update
 
     def counted(*args):
         calls.append(args)
-        return advance(*args)
+        return run_update(*args)
 
     def must_not_fork():
         raise AssertionError("forked")
 
-    monkeypatch.setattr(exact, "_advance", counted)
+    monkeypatch.setattr(exact, "_run_update", counted)
     monkeypatch.setattr(os, "fork", must_not_fork, raising=False)
     chain = balancing_chain(RunProfile(CHAIN_LENGTHS, CHAIN_SYMBOLS, 4), 240)
     assert len(chain) == 44
     # Each cut sits where the next step's changes begin: 181 run updates,
     # against 213 with the cut at the last changed run.
     assert len(calls) <= 181
-    monkeypatch.setattr(exact, "_advance", advance)
+    monkeypatch.setattr(exact, "_run_update", run_update)
     assert [step.ball_size for step in chain] == [plain(step.profile, 240) for step in chain]
 
 
