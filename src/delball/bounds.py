@@ -149,10 +149,9 @@ def hirschberg_regnier_bounds(q: int, n: int, r: int, t: int) -> tuple[int, int]
     The upper sum equals D(q, n, t) by Hirschberg's identity (Hirschberg and
     Regnier, CPM 2000), so it is returned as calabi_hartnett_max(q, n, t),
     which counts the gap vectors of the cycling word's subsequences in
-    closed form.
+    closed form.  Raises ValueError unless q >= 2 and 1 <= r <= n.
     """
-    if q < 2:
-        raise ValueError("need q >= 2")
+    _check_params(q, n, r)
     return _hr_lower_column(r, [t])[0], calabi_hartnett_max(q, n, t)
 
 
@@ -261,13 +260,14 @@ def _reports(
     return reports
 
 
-def report_for_word(word: Word, t: int, with_exact: bool = True) -> BoundReport:
-    """BoundReport for a concrete word; n, r, q are read off the word."""
+def report_for_word(word: Word, t: int) -> BoundReport:
+    """BoundReport for a concrete word, with its exact ball size; n, r, q
+    are read off the word."""
     profile = encode_runs(word)
     r = profile.run_count
     if r == 0:
         raise ValueError("no bounds for the empty word")
-    return _reports(word.alphabet_size, len(word), r, [t], profile if with_exact else None)[0]
+    return _reports(word.alphabet_size, len(word), r, [t], profile)[0]
 
 
 def representative_word(q: int, n: int, r: int) -> Word:

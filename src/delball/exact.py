@@ -8,8 +8,8 @@ for t = n.
 Two independent routes compute the ball size:
 
 * ``enumerate_ball`` materializes the set itself.  It refuses (budget
-  guard) once the number of candidate subsequences C(n, t) grows past a
-  configurable limit, because every candidate is generated.
+  guard) once the number of candidate subsequences C(n, t) grows past
+  DELBALL_ENUM_BUDGET, because every candidate is generated.
 * ``ball_size`` runs a distinct-subsequence dynamic program and is the
   workhorse.  It takes a Word or its RunProfile, and ``_fold``, the one
   loop over runs, applies ``_run_update`` to each: one pass over the row
@@ -82,22 +82,21 @@ def enumeration_budget() -> int:
     return value
 
 
-def enumerate_ball(word: Word | RunProfile, t: int, budget: int | None = None) -> set[Word]:
+def enumerate_ball(word: Word | RunProfile, t: int) -> set[Word]:
     """The set of distinct words reachable from ``word`` by exactly t deletions.
 
-    Raises EnumerationBudgetError when C(n, t) exceeds the budget.  A
-    RunProfile is decoded to its word only once the budget admits it.
+    Raises EnumerationBudgetError when C(n, t) exceeds enumeration_budget(),
+    without building a large C(n, t): C(n, t) = C(n, k) >= 2**k for
+    k = min(t, n - t), so C(n, k) is computed only for k below the budget's
+    bit length.  A RunProfile is decoded only once the budget admits it.
     """
     n = len(word)
     if t < 0 or t > n:
         return set()
-    if budget is None:
-        budget = enumeration_budget()
-    candidates = comb(n, t)
-    if candidates > budget:
-        raise EnumerationBudgetError(
-            f"C({n}, {t}) = {candidates} candidate subsequences exceed budget {budget}"
-        )
+    budget = enumeration_budget()
+    k = min(t, n - t)
+    if k >= budget.bit_length() or comb(n, k) > budget:
+        raise EnumerationBudgetError(f"C({n}, {t}) candidate subsequences exceed budget {budget}")
     if isinstance(word, RunProfile):
         word = word.to_word()
     q = word.alphabet_size

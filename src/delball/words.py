@@ -92,10 +92,6 @@ class RunProfile(namedtuple("RunProfile", "lengths symbols alphabet_size")):
     def run_count(self) -> int:
         return len(self.lengths)
 
-    @property
-    def total_length(self) -> int:
-        return sum(self.lengths)
-
     def to_word(self) -> Word:
         out: list[int] = []
         for x, a in zip(self.lengths, self.symbols):

@@ -121,6 +121,9 @@ def test_hirschberg_regnier_examples():
     assert hirschberg_regnier_bounds(3, 9, 3, 3)[0] == 1
     with pytest.raises(ValueError):
         hirschberg_regnier_bounds(1, 4, 2, 1)
+    for r in (0, 5):  # no 3-symbol word has r runs
+        with pytest.raises(ValueError, match=rf"need 1 <= r <= n, got r={r}, n=3"):
+            hirschberg_regnier_bounds(2, 3, r, 1)
 
 
 def test_hr_lower_column_matches_binomial_sums():

@@ -621,6 +621,33 @@ def test_count_canonical_unary_alphabet_exit_2():
     assert_one_line(result, 2, "canonical words need an alphabet of at least 2")
 
 
+def test_count_empty_word_as_processes():
+    # The empty word's one subsequence; its inferred alphabet has one
+    # symbol, which the canonical method refuses as it does for "000".
+    for source in (("--word", ""), ("--runs", ";")):
+        for method in ("auto", "dp", "enumerate", "canonical"):
+            result = launch("count", *source, "--q", "2", "-t", "0", "--method", method)
+            assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", ""), method
+            if method != "canonical":
+                result = launch("count", *source, "-t", "0", "--method", method)
+                assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", ""), method
+        result = launch("count", *source, "-t", "0", "--method", "canonical")
+        assert result.stdout == ""
+        assert_one_line(result, 2, "canonical words need an alphabet of at least 2")
+
+
+def test_count_enumerate_refused_at_any_size_exit_3():
+    # The guard bounds C(n, t) from below by 2**min(t, n - t) and never
+    # builds it: no digit-limit error, and no 600,000-digit number first.
+    for half in (10_000, 1_000_000):
+        n = 2 * half
+        started = time.perf_counter()
+        result = launch("count", "--runs", f"{half},{half};0,1", "-t", str(half), "--method", "enumerate")
+        assert time.perf_counter() - started < 10
+        assert result.stdout == ""
+        assert_one_line(result, 3, f"C({n}, {half}) candidate subsequences exceed budget 2000000\n")
+
+
 def test_help_and_usage_errors_as_processes():
     helped = launch("--help")
     assert (helped.returncode, helped.stderr) == (0, "")

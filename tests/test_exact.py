@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,11 +42,55 @@ def test_enumerate_ball_examples():
     assert enumerate_ball(word, 5) == set()
 
 
-def test_enumerate_ball_budget():
+def test_enumerate_ball_budget(monkeypatch):
     word = Word(tuple(i % 2 for i in range(16)), 2)
+    monkeypatch.setenv("DELBALL_ENUM_BUDGET", "100")
     with pytest.raises(EnumerationBudgetError):
-        enumerate_ball(word, 8, budget=100)
-    assert len(enumerate_ball(word, 8, budget=13000)) > 0
+        enumerate_ball(word, 8)
+    monkeypatch.setenv("DELBALL_ENUM_BUDGET", "13000")
+    assert len(enumerate_ball(word, 8)) > 0
+
+
+def test_enumerate_ball_budget_boundary(monkeypatch):
+    word = parse_word("0101010101")  # C(10, 5) = 252 candidates at t = 5
+    monkeypatch.setenv("DELBALL_ENUM_BUDGET", "252")
+    assert len(enumerate_ball(word, 5)) == ball_size(word, 5)
+    monkeypatch.setenv("DELBALL_ENUM_BUDGET", "251")
+    with pytest.raises(EnumerationBudgetError, match=r"^C\(10, 5\) .* exceed budget 251$"):
+        enumerate_ball(word, 5)
+    monkeypatch.setenv("DELBALL_ENUM_BUDGET", "1")  # one candidate when k = min(t, n - t) = 0
+    assert enumerate_ball(Word((), 2), 0) == {Word((), 2)}
+    assert enumerate_ball(RunProfile((), (), 2), 0) == {Word((), 2)}
+    assert enumerate_ball(word, 0) == {word}
+    assert enumerate_ball(word, 10) == {Word((), 2)}
+    with pytest.raises(EnumerationBudgetError):
+        enumerate_ball(word, 1)
+
+
+def test_enumerate_ball_budget_matches_binomial(monkeypatch):
+    # The guard admits exactly the (n, t, budget) with C(n, t) <= budget,
+    # budgets on both sides of a power of two included.  Admitted requests
+    # generate no candidate here, so large budgets stay cheap.
+    monkeypatch.setattr(exact, "combinations", lambda symbols, length: ())
+    for budget in (1, 2, 3, 4, 7, 8, 9, 251, 252, 253, 2_000_000, 2**64 - 1, 2**64, 2**64 + 1):
+        monkeypatch.setenv("DELBALL_ENUM_BUDGET", str(budget))
+        for n in range(0, 90):
+            word = Word((0,) * n, 1)
+            for t in range(0, n + 1):
+                try:
+                    admitted = enumerate_ball(word, t) == set()
+                except EnumerationBudgetError:
+                    admitted = False
+                assert admitted == (comb(n, t) <= budget), (n, t, budget)
+
+
+def test_enumerate_ball_refuses_huge_requests_at_once(monkeypatch):
+    monkeypatch.delenv("DELBALL_ENUM_BUDGET", raising=False)
+    started = time.perf_counter()
+    with pytest.raises(EnumerationBudgetError) as refused:
+        enumerate_ball(RunProfile((10**6, 10**6), (0, 1), 2), 10**6)
+    assert time.perf_counter() - started < 1.0
+    assert str(refused.value) == "C(2000000, 1000000) candidate subsequences exceed budget 2000000"
 
 
 def test_budget_env_override(monkeypatch):

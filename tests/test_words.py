@@ -169,7 +169,7 @@ def test_run_profile_value_contract():
     profile = RunProfile(lengths=[1, 2], symbols=[0, 1], alphabet_size=2)
     assert profile == RunProfile((1, 2), (0, 1), 2)
     assert type(profile.lengths) is tuple and type(profile.symbols) is tuple
-    assert profile.alphabet_size == 2 and profile.run_count == 2 and profile.total_length == 3
+    assert profile.alphabet_size == 2 and profile.run_count == 2 and len(profile) == 3
     assert len(profile) == 3 == len(profile.to_word())  # symbols, not tuple fields
     assert repr(profile) == "RunProfile(lengths=(1, 2), symbols=(0, 1), alphabet_size=2)"
     assert hash(profile) == hash(RunProfile((1, 2), (0, 1), 2))
