@@ -105,7 +105,7 @@ def _parse_t_range(text: str) -> tuple[int, int]:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    from .words import canonical_symbols, check_deletions, decimal
+    from .words import check_deletions, decimal
 
     t = args.deletions
     word = _word_from_args(args)
@@ -114,7 +114,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         value = len(_cli.enumerate_ball(word, t))
     elif args.method == "canonical":
         profile = _cli.encode_runs(word)
-        if profile.symbols != canonical_symbols(profile.run_count, word.alphabet_size):
+        if profile != _cli.canonical_profile(profile.lengths, word.alphabet_size):
             raise ValueError(
                 "canonical method needs run symbols 0, 1, ... cycling mod min(r, q); "
                 "use --method dp for arbitrary words"
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", dest="t_range", required=True, help='inclusive range "a..b"')
     p.add_argument(
         "--cols",
-        default="lev_lower,lev_upper,hr_lower,hr_upper,ch_upper,new_lower,new_upper",
+        default=",".join(c for c in COLUMN_ORDER if c != "exact"),
         help=f"comma-separated subset of {','.join(COLUMN_ORDER)}",
     )
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
@@ -309,7 +309,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         _drop_pending(sys.stdout)
         return _fail(f"cannot write output: {exc}", EXIT_IO)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -54,7 +54,7 @@ from itertools import accumulate, chain, combinations, repeat, zip_longest
 from math import comb
 from operator import mul, sub
 
-from .words import RunProfile, Word, encode_runs
+from .words import RunProfile, Word, canonical_profile, encode_runs
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 ENUM_BUDGET_ENV = "DELBALL_ENUM_BUDGET"
@@ -330,7 +330,8 @@ def canonical_ball_size(lengths: tuple[int, ...] | list[int], q: int, t: int) ->
     suffix profile with run j+1 shortened by one.  A trailing +1 accounts
     for subsequences erased entirely out of the first run when t > n - x_1.
     Equals ball_size on the decoded word for every t; only run lengths and
-    the alphabet size enter.
+    the alphabet size enter, and ``canonical_profile`` refuses them where
+    no canonical word exists (raising ValueError).
 
     Peeling only ever reaches suffixes of the run vector, whole or with
     their first run shortened by one, at t no larger than the one asked
@@ -340,11 +341,7 @@ def canonical_ball_size(lengths: tuple[int, ...] | list[int], q: int, t: int) ->
     above is one difference.  Costs O(runs * q * t) operations, with no
     recursion.
     """
-    lengths = tuple(lengths)
-    if q < 2:
-        raise ValueError("canonical words need an alphabet of at least 2")
-    if any(x < 1 for x in lengths):
-        raise ValueError("run lengths must be positive")
+    lengths = canonical_profile(lengths, q).lengths
     if not 0 <= t <= sum(lengths):
         return 0
     r = len(lengths)

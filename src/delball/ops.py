@@ -45,9 +45,9 @@ def reduce_to_binary(word: Word) -> Word:
 
 
 def cyclicize(word: Word) -> Word:
-    """Keep the run lengths, relabel run symbols to cycle 0, 1, ..., mod min(r, q)."""
-    if word.alphabet_size < 2 or not word.symbols:
-        return word
+    """The canonical word with the run lengths and alphabet of ``word``: run
+    symbols cycle 0, 1, ..., mod min(r, q).  The empty word and a word of one
+    run (the only words at q = 1) map to an equal word."""
     return canonical_word(encode_runs(word).lengths, word.alphabet_size)
 
 
@@ -114,7 +114,7 @@ def balancing_chain(word: Word | RunProfile, t: int) -> list[ChainStep]:
     if n % r != 0:
         raise ValueError(f"run count {r} does not divide length {n}")
     k = n // r
-    current = start if word.alphabet_size < 2 else canonical_profile(start.lengths, word.alphabet_size)
+    current = canonical_profile(start.lengths, word.alphabet_size)
     profiles = [start, current]
     while any(x != k for x in current.lengths):
         current = balance_step(current, *_select_pair(current.lengths))

@@ -115,18 +115,14 @@ def encode_runs(word: Word | RunProfile) -> RunProfile:
     return RunProfile(lengths, tuple(a for a, _ in groupby(word.symbols)), word.alphabet_size)
 
 
-def canonical_symbols(run_count: int, q: int) -> tuple[int, ...]:
-    """Run symbols 0, 1, ..., cycling through min(run_count, q) values."""
-    q1 = min(run_count, q)
-    return tuple(i % q1 for i in range(run_count)) if run_count else ()
-
-
 def canonical_profile(lengths: tuple[int, ...] | list[int], q: int) -> RunProfile:
-    """Profile with the given run lengths and cyclically increasing symbols."""
-    lengths = tuple(lengths)
-    if q < 2:
-        raise ValueError("canonical words need an alphabet of at least 2")
-    return RunProfile(lengths, canonical_symbols(len(lengths), q), q)
+    """Profile with the given positive run lengths, run i carrying symbol
+    i mod min(r, q): the one rule for canonical words.  q must be at least 1,
+    and at least 2 for two or more runs."""
+    r = len(lengths)
+    if q < 1 or q < 2 <= r:
+        raise ValueError(f"canonical words need q >= 1, and q >= 2 for two or more runs; got q={q}, r={r}")
+    return RunProfile(lengths, tuple(i % min(r, q) for i in range(r)), q)
 
 
 def canonical_word(lengths: tuple[int, ...] | list[int], q: int) -> Word:

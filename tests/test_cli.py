@@ -615,25 +615,19 @@ def test_chain_t_outside_range_exit_2():
         assert_one_line(result, 2, f"t={t} outside [0, n=4]")
 
 
-def test_count_canonical_unary_alphabet_exit_2():
+def test_count_canonical_unary_alphabet():
+    # A one-run word is canonical at any q, q = 1 included.
     result = launch("count", "--word", "000", "--q", "1", "-t", "1", "--method", "canonical")
-    assert result.stdout == ""
-    assert_one_line(result, 2, "canonical words need an alphabet of at least 2")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
 
 
 def test_count_empty_word_as_processes():
-    # The empty word's one subsequence; its inferred alphabet has one
-    # symbol, which the canonical method refuses as it does for "000".
+    # The empty word's one subsequence, also at its inferred one-symbol alphabet.
     for source in (("--word", ""), ("--runs", ";")):
         for method in ("auto", "dp", "enumerate", "canonical"):
-            result = launch("count", *source, "--q", "2", "-t", "0", "--method", method)
-            assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", ""), method
-            if method != "canonical":
-                result = launch("count", *source, "-t", "0", "--method", method)
-                assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", ""), method
-        result = launch("count", *source, "-t", "0", "--method", "canonical")
-        assert result.stdout == ""
-        assert_one_line(result, 2, "canonical words need an alphabet of at least 2")
+            for q in (("--q", "2"), ()):
+                result = launch("count", *source, *q, "-t", "0", "--method", method)
+                assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", ""), (method, q)
 
 
 def test_count_enumerate_refused_at_any_size_exit_3():

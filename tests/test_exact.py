@@ -25,8 +25,16 @@ from delball.exact import (
     enumerate_ball,
     enumeration_budget,
 )
-from delball.ops import balance_step, balancing_chain
-from delball.words import RunProfile, Word, canonical_profile, canonical_word, encode_runs, parse_word
+from delball.ops import balance_step, balancing_chain, cyclicize
+from delball.words import (
+    RunProfile,
+    Word,
+    canonical_profile,
+    canonical_word,
+    encode_runs,
+    parse_run_profile,
+    parse_word,
+)
 
 
 def texts(ball):
@@ -472,6 +480,36 @@ def profile_walks(draw):
     return profiles, draw(st.integers(-1, n + 1))
 
 
+@st.composite
+def any_profiles(draw):
+    """Run profiles over q in 1..40: up to 12 runs (one at most at q = 1) of
+    length 1..6, adjacent run symbols distinct and otherwise arbitrary."""
+    q = draw(st.integers(1, 40))
+    r = draw(st.integers(0, 1 if q == 1 else 12))
+    symbols = []
+    for _ in range(r):
+        symbols.append(other_symbol(draw, q, symbols[-1] if symbols else None))
+    return RunProfile(draw(st.lists(st.integers(1, 6), min_size=r, max_size=r)), symbols, q)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(any_profiles())
+@example(RunProfile((), (), 1))
+@example(RunProfile((4,), (0,), 1))
+@example(RunProfile((1, 2), (35, 0), 36))
+@example(RunProfile((1, 2), (0, 36), 40))
+def test_profile_and_word_text_round_trips(profile):
+    q = profile.alphabet_size
+    assert parse_run_profile(profile.text(), q) == profile
+    word = profile.to_word()
+    assert encode_runs(word) == profile
+    if max(profile.symbols, default=0) < 36:  # always so for q <= 36
+        assert parse_word(word.text(), q) == word
+    else:
+        with pytest.raises(ValueError, match=rf"^no text form for alphabet size {q} > 36$"):
+            word.text()
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(profile_walks())
 @example(([RunProfile((5,), (0,), 1)] * 3, 0))  # r = 1, q = 1
@@ -529,9 +567,33 @@ def test_canonical_ball_size_table_rows():
 
 def test_canonical_ball_size_validation():
     with pytest.raises(ValueError):
-        canonical_ball_size((2, 2), 1, 1)
-    with pytest.raises(ValueError):
         canonical_ball_size((2, 0), 3, 1)
+    # q = 1 with two runs, and q = 0 (a ZeroDivisionError from i % 0 is not a ValueError).
+    for lengths, q in [((2, 2), 1), ((2, 2), 0), ((3,), 0), ((), 0)]:
+        message = rf"^canonical words need q >= 1, and q >= 2 for two or more runs; got q={q}, r={len(lengths)}$"
+        with pytest.raises(ValueError, match=message):
+            canonical_word(lengths, q)
+        with pytest.raises(ValueError, match=message):
+            canonical_ball_size(lengths, q, 1)
+
+
+def test_unary_alphabet_and_empty_word_routes_agree():
+    # At q = 1 the words are 0^n, each canonical with one subsequence of
+    # every length 0..n; the empty word (n = 0) is one of them.
+    for n in range(13):
+        word = Word((0,) * n, 1)
+        profile = encode_runs(word)
+        assert cyclicize(word) == word
+        assert ball_size_all(word) == [1] * (n + 1)
+        for t in range(-1, n + 2):
+            size = ball_size(word, t)
+            assert size == (0 <= t <= n)
+            assert len(enumerate_ball(word, t)) == size
+            assert canonical_ball_size(profile.lengths, 1, t) == size
+            assert _ball_sizes([profile, profile], t) == [size, size]
+            if n:
+                chain = balancing_chain(word, t)
+                assert [(step.profile, step.ball_size) for step in chain] == [(profile, size)] * 2
 
 
 def test_canonical_ball_size_matches_dp():
