@@ -33,12 +33,7 @@ _EXPORTS = {
             "tail_ball_closed tail_ball_recursive",
         ),
         ("binomials", "binomial"),
-        (
-            "bounds",
-            "BoundReport balanced_upper_bound calabi_hartnett_max hirschberg_regnier_bounds "
-            "levenshtein_bounds report_for_params report_for_word sweep_reports "
-            "unbalanced_lower_bound",
-        ),
+        ("bounds", "BoundReport calabi_hartnett_max levenshtein_bounds report_for_word sweep_reports"),
         ("exact", "EnumerationBudgetError ball_size ball_size_all canonical_ball_size enumerate_ball"),
         (
             "ops",
@@ -48,7 +43,7 @@ _EXPORTS = {
         (
             "words",
             "RunProfile Word balanced_tail_word balanced_word canonical_profile canonical_word "
-            "cyclic_word encode_runs parse_run_profile parse_word unbalanced_binary_word",
+            "cyclic_word encode_runs parse_run_profile parse_word",
         ),
     )
     for name in names.split()

@@ -10,10 +10,11 @@ For a word with n symbols, r runs and alphabet q under t deletions:
   [0, q-1], summing to at most t, which gives D in closed form.
 * Hirschberg-Regnier:       sum C(r-t, i) <= |ball|
                             <= sum C(n-t, i) * D(q-1, t, t-i).
-  By Hirschberg's identity the upper sum equals D(q, n, t), so it is
-  read off the Calabi-Hartnett column.
+  By Hirschberg's identity (Hirschberg and Regnier, CPM 2000) the upper
+  sum equals D(q, n, t), so it is read off the Calabi-Hartnett column.
 * Balanced upper bound:     |ball| <= ball of the balanced word with r
-  runs of length ceil(n/r) (pad the last run, then balance).
+  runs of length ceil(n/r) (pad the last run, then balance); attained
+  when r divides n.
 * Reduced-binary lower bound: |ball| >= ball of the binary word with r-1
   unit runs and one long run (relabel runs to binary, then unbalance).
 
@@ -35,7 +36,7 @@ from collections.abc import Iterable, Sequence
 
 from . import COLUMN_ORDER
 from .binomials import binomial
-from .exact import ball_size, ball_size_all
+from .exact import ball_size_all
 from .words import (
     RunProfile,
     Word,
@@ -143,34 +144,6 @@ def _hr_lower_column(r: int, t_values: Sequence[int]) -> list[int]:
     return [column[t] if 0 <= t < len(column) else 0 for t in t_values]
 
 
-def hirschberg_regnier_bounds(q: int, n: int, r: int, t: int) -> tuple[int, int]:
-    """(sum_i C(r-t, i), sum_i C(n-t, i) * D(q-1, t, t-i)) for i in [0, t].
-
-    The upper sum equals D(q, n, t) by Hirschberg's identity (Hirschberg and
-    Regnier, CPM 2000), so it is returned as calabi_hartnett_max(q, n, t),
-    which counts the gap vectors of the cycling word's subsequences in
-    closed form.  Raises ValueError unless q >= 2 and 1 <= r <= n.
-    """
-    _check_params(q, n, r)
-    return _hr_lower_column(r, [t])[0], calabi_hartnett_max(q, n, t)
-
-
-def unbalanced_lower_bound(n: int, r: int, t: int) -> int:
-    """Ball size of unbalanced_binary_word(n, r): a floor for every r-run word."""
-    return ball_size(unbalanced_profile(n, r, 2), t)
-
-
-def balanced_upper_bound(q: int, n: int, r: int, t: int) -> int:
-    """Ball size of the balanced word with k = ceil(n / r): a cap for every r-run word.
-
-    Exact (not just a bound) when r divides n; 0 outside 0 <= t <= n.
-    """
-    _check_params(q, n, r)
-    if not 0 <= t <= n:
-        return 0
-    return ball_size(canonical_profile((-(-n // r),) * r, q), t)
-
-
 class BoundReport(
     namedtuple(
         "BoundReport",
@@ -264,25 +237,7 @@ def report_for_word(word: Word, t: int) -> BoundReport:
     """BoundReport for a concrete word, with its exact ball size; n, r, q
     are read off the word."""
     profile = encode_runs(word)
-    r = profile.run_count
-    if r == 0:
-        raise ValueError("no bounds for the empty word")
-    return _reports(word.alphabet_size, len(word), r, [t], profile)[0]
-
-
-def representative_word(q: int, n: int, r: int) -> Word:
-    """Canonical word with r - 1 unit runs then one long run, over alphabet q.
-
-    Used as the witness whose exact ball size parameter-form reports carry:
-    for r = 1 and for r = n it is the only run shape available.
-    """
-    _check_params(q, n, r)
-    return unbalanced_profile(n, r, q).to_word()
-
-
-def report_for_params(q: int, n: int, r: int, t: int, with_exact: bool = False) -> BoundReport:
-    """BoundReport for (q, n, r); exact, if requested, is for representative_word."""
-    return sweep_reports(q, n, r, [t], with_exact)[0]
+    return _reports(word.alphabet_size, len(word), profile.run_count, [t], profile)[0]
 
 
 def sweep_reports(
@@ -290,8 +245,10 @@ def sweep_reports(
 ) -> list[BoundReport]:
     """Reports for each t in order, every column computed once for all t.
 
-    The exact column, when requested, comes from a single DP pass over
-    the run profile of representative_word.
+    The exact column, when requested, is that of the canonical word with
+    r - 1 unit runs then one long run over alphabet q (for r = 1 and for
+    r = n the only run shape available), from a single DP pass over its
+    run profile.  For one t, take ``sweep_reports(q, n, r, [t])[0]``.
     """
     _check_params(q, n, r)  # before the exact witness is built
     return _reports(q, n, r, t_values, unbalanced_profile(n, r, q) if with_exact else None)

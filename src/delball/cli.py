@@ -127,7 +127,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    report = _cli.report_for_params(args.q, args.n, args.r, args.deletions, with_exact=args.exact)
+    report = _cli.sweep_reports(args.q, args.n, args.r, [args.deletions], args.exact)[0]
     import json
 
     print(json.dumps(report.to_json_dict(), indent=2))

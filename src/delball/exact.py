@@ -336,10 +336,11 @@ def canonical_ball_size(lengths: tuple[int, ...] | list[int], q: int, t: int) ->
     Peeling only ever reaches suffixes of the run vector, whole or with
     their first run shortened by one, at t no larger than the one asked
     for.  So the table is filled from the last run backwards, one column
-    over 0..t per suffix, keeping the shortened columns of the q - 1
-    suffixes after the current one.  Columns are prefix sums, so the i-sum
-    above is one difference.  Costs O(runs * q * t) operations, with no
-    recursion.
+    over 0..t per suffix, keeping the shortened columns of the at most
+    min(r, q) - 1 suffixes after the current one that it reads (a bound
+    by q alone would overflow a C ssize_t past q = 2**63).  Columns are
+    prefix sums, so the i-sum above is one difference.  Costs
+    O(runs * min(runs, q) * t) operations, with no recursion.
     """
     lengths = canonical_profile(lengths, q).lengths
     if not 0 <= t <= sum(lengths):
@@ -368,7 +369,7 @@ def canonical_ball_size(lengths: tuple[int, ...] | list[int], q: int, t: int) ->
         return list(accumulate(sizes, initial=0))
 
     rest = [0] + [1] * (t + 1)  # the empty suffix
-    cut: deque[list[int]] = deque(maxlen=q - 1)
+    cut: deque[list[int]] = deque(maxlen=min(r, q - 1))
     n = 0
     for s in range(r - 1, -1, -1):
         x = lengths[s]

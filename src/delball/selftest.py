@@ -16,14 +16,7 @@ import time
 from collections import namedtuple
 
 from .balanced import BalancedBallCalculator
-from .bounds import (
-    balanced_upper_bound,
-    calabi_hartnett_max,
-    hirschberg_regnier_bounds,
-    levenshtein_bounds,
-    sweep_reports,
-    unbalanced_lower_bound,
-)
+from .bounds import calabi_hartnett_max, sweep_reports
 from .exact import _ball_sizes, _split_plan, ball_size, ball_size_all, enumerate_ball
 from .ops import apply_permutation, balance_step, balancing_chain, cyclicize, insert_symbol, reduce_to_binary
 from .split import split_count
@@ -385,22 +378,17 @@ def check_sandwich(trials: int, seed: int) -> CheckResult:
         n, q = len(word), word.alphabet_size
         r = encode_runs(word).run_count
         exact = ball_size_all(word)
-        for t in range(0, n + 1):
-            lev_lo, lev_hi = levenshtein_bounds(r, t)
-            hr_lo, hr_hi = hirschberg_regnier_bounds(q, n, r, t)
-            new_lo = unbalanced_lower_bound(n, r, t)
-            new_hi = balanced_upper_bound(q, n, r, t)
-            ch_hi = calabi_hartnett_max(q, n, t)
-            e = exact[t]
+        for rep in sweep_reports(q, n, r, range(n + 1)):
+            e = exact[rep.t]
             for label, ok in (
-                ("lev", lev_lo <= e <= lev_hi),
-                ("hr", hr_lo <= e <= hr_hi),
-                ("new", new_lo <= e <= new_hi),
-                ("ch", e <= ch_hi),
-                ("lev<=hr lower", lev_lo <= hr_lo),
+                ("lev", rep.lev_lower <= e <= rep.lev_upper),
+                ("hr", rep.hr_lower <= e <= rep.hr_upper),
+                ("new", rep.new_lower <= e <= rep.new_upper),
+                ("ch", e <= rep.ch_upper),
+                ("lev<=hr lower", rep.lev_lower <= rep.hr_lower),
             ):
                 if not ok:
-                    violations.append(f"{label}: {word.text()} q={q} t={t}")
+                    violations.append(f"{label}: {word.text()} q={q} t={rep.t}")
     return CheckResult("bound-sandwich", violations, f"{trials} words, all t")
 
 

@@ -144,19 +144,15 @@ def balanced_tail_word(r: int, k: int, q: int) -> Word:
 
 
 def unbalanced_profile(n: int, r: int, q: int) -> RunProfile:
-    """Canonical profile with r - 1 runs of length 1, then one run of n - r + 1."""
+    """Canonical profile with r - 1 runs of length 1, then one run of n - r + 1.
+
+    For q = 2, among all words with n symbols and r runs this one attains
+    the smallest deletion ball, which is what makes it usable as a
+    lower-bound witness.
+    """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     return canonical_profile((1,) * (r - 1) + (n - r + 1,), q)
-
-
-def unbalanced_binary_word(n: int, r: int) -> Word:
-    """Binary word with r runs: r - 1 runs of length 1, then one run of n - r + 1.
-
-    Among all words with n symbols and r runs this one attains the smallest
-    deletion ball, which is what makes it usable as a lower-bound witness.
-    """
-    return unbalanced_profile(n, r, 2).to_word()
 
 
 def cyclic_word(n: int, q: int) -> Word:

@@ -14,18 +14,13 @@ from delball.bounds import (
     BoundReport,
     _calabi_hartnett_column,
     _hr_lower_column,
-    balanced_upper_bound,
     calabi_hartnett_max,
-    hirschberg_regnier_bounds,
     levenshtein_bounds,
-    report_for_params,
     report_for_word,
-    representative_word,
     sweep_reports,
-    unbalanced_lower_bound,
 )
-from delball.exact import ball_size, ball_size_all, enumerate_ball
-from delball.words import Word, cyclic_word, decimal, encode_runs, parse_word
+from delball.exact import ball_size, ball_size_all, canonical_ball_size, enumerate_ball
+from delball.words import Word, cyclic_word, decimal, encode_runs, parse_word, unbalanced_profile
 
 
 def test_levenshtein_bounds_examples():
@@ -52,7 +47,7 @@ def test_calabi_hartnett_examples():
     k = n - 3
     want = 1 + k + comb(k, 2) + k + comb(k, 3) + k * (k - 1)
     assert calabi_hartnett_max(3, n, 3) == want
-    assert hirschberg_regnier_bounds(3, n, 2, 3)[1] == want
+    assert sweep_reports(3, n, 2, [3])[0].hr_upper == want
     with pytest.raises(ValueError):
         calabi_hartnett_max(0, 3, 1)
 
@@ -112,18 +107,17 @@ def test_calabi_hartnett_max_is_fast_at_large_t():
 
 
 def test_hirschberg_regnier_examples():
-    lower, _ = hirschberg_regnier_bounds(3, 10, 4, 1)
-    assert lower == 4  # C(3,0) + C(3,1)
-    _, upper = hirschberg_regnier_bounds(2, 4, 4, 1)
+    assert sweep_reports(3, 10, 4, [1])[0].hr_lower == 4  # C(3,0) + C(3,1)
+    upper = sweep_reports(2, 4, 4, [1])[0].hr_upper
     assert upper == 4
     assert upper == len(enumerate_ball(parse_word("0101"), 1))
-    assert hirschberg_regnier_bounds(3, 9, 2, 3)[0] == 0  # r < t zeroes every term
-    assert hirschberg_regnier_bounds(3, 9, 3, 3)[0] == 1
-    with pytest.raises(ValueError):
-        hirschberg_regnier_bounds(1, 4, 2, 1)
+    assert sweep_reports(3, 9, 2, [3])[0].hr_lower == 0  # r < t zeroes every term
+    assert sweep_reports(3, 9, 3, [3])[0].hr_lower == 1
+    with pytest.raises(ValueError, match=r"^need q >= 2$"):
+        sweep_reports(1, 4, 2, [1])
     for r in (0, 5):  # no 3-symbol word has r runs
-        with pytest.raises(ValueError, match=rf"need 1 <= r <= n, got r={r}, n=3"):
-            hirschberg_regnier_bounds(2, 3, r, 1)
+        with pytest.raises(ValueError, match=rf"^need 1 <= r <= n, got r={r}, n=3$"):
+            sweep_reports(2, 3, r, [1])
 
 
 def test_hr_lower_column_matches_binomial_sums():
@@ -134,29 +128,33 @@ def test_hr_lower_column_matches_binomial_sums():
         reports = sweep_reports(2, n, r, range(n + 1))
         for rep in reports:
             assert rep.hr_lower == sum(binomial(r - rep.t, i) for i in range(rep.t + 1))
-    assert [hirschberg_regnier_bounds(2, 9, 4, t)[0] for t in (-1, 0, 2, 4, 5, 9)] == [0, 1, 4, 1, 0, 0]
+    assert [rep.hr_lower for rep in sweep_reports(2, 9, 4, (0, 2, 4, 5, 9))] == [1, 4, 1, 0, 0]
+    # Reports refuse t = -1; the column itself reads it as an empty sum.
+    assert _hr_lower_column(4, (-1, 0, 2, 4, 5, 9)) == [0, 1, 4, 1, 0, 0]
 
 
 def test_unbalanced_lower_bound():
-    assert unbalanced_lower_bound(6, 4, 1) == 4
-    for t in range(0, 6):
-        assert unbalanced_lower_bound(5, 1, t) == 1
+    # The new_lower column is the ball of 010111 whatever q is.
+    for q in (2, 3, 4):
+        assert [rep.new_lower for rep in sweep_reports(q, 6, 4, [1, 2])] == [4, 5]
+        assert [rep.new_lower for rep in sweep_reports(q, 5, 1, range(6))] == [1] * 6
     # 5 frozen from the enumeration oracle on 010111
     assert len(enumerate_ball(parse_word("010111"), 2)) == 5
-    assert unbalanced_lower_bound(6, 4, 2) == 5
 
 
 def test_balanced_upper_bound():
-    assert balanced_upper_bound(3, 24, 6, 7) == 666
-    assert balanced_upper_bound(4, 24, 6, 0) == 1
-    assert balanced_upper_bound(4, 24, 6, 7) == ball_size(
-        parse_word("000011112222333300001111"), 7
-    )
-    # The padded witness word has 6 symbols, but t is counted against n = 5.
-    assert balanced_upper_bound(2, 5, 2, 6) == 0
-    assert balanced_upper_bound(2, 5, 2, -1) == 0
-    with pytest.raises(ValueError):
-        balanced_upper_bound(3, 4, 5, 1)
+    assert sweep_reports(3, 24, 6, [7])[0].new_upper == 666
+    assert [rep.new_upper for rep in sweep_reports(4, 24, 6, [0, 7])] == [
+        1,
+        ball_size(parse_word("000011112222333300001111"), 7),
+    ]
+    # The padded witness word 000111 has 6 symbols, but t is counted
+    # against n = 5: t = 5 reads its two 1-symbol subsequences, t = 6 is refused.
+    assert sweep_reports(2, 5, 2, [5])[0].new_upper == 2
+    with pytest.raises(ValueError, match=r"^t=6 outside \[0, n=5\]$"):
+        sweep_reports(2, 5, 2, [6])
+    with pytest.raises(ValueError, match=r"^need 1 <= r <= n, got r=5, n=4$"):
+        sweep_reports(3, 4, 5, [1])
 
 
 def test_report_for_word_table_row():
@@ -179,22 +177,22 @@ def test_report_for_single_run_word():
             assert high >= 1
 
 
-def test_report_for_params_large_comparison_point():
-    report = report_for_params(3, 120, 24, 40)
+def test_sweep_report_large_comparison_point():
+    report = sweep_reports(3, 120, 24, [40])[0]
     assert report.exact is None
     assert report.new_upper == ball_closed(24, 5, 40, 3)
 
 
 def test_report_errors():
-    with pytest.raises(ValueError):
-        report_for_params(3, 4, 5, 1)
-    with pytest.raises(ValueError):
-        report_for_params(1, 4, 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 1 <= r <= n, got r=5, n=4$"):
+        sweep_reports(3, 4, 5, [1])
+    with pytest.raises(ValueError, match=r"^need q >= 2$"):
+        sweep_reports(1, 4, 2, [1], with_exact=True)
+    with pytest.raises(ValueError, match=r"^need 1 <= r <= n, got r=0, n=0$"):
         report_for_word(Word((), 2), 0)
     for call in (
-        lambda: report_for_params(2, 5, 2, 6),
-        lambda: report_for_params(2, 5, 2, -1, with_exact=True),
+        lambda: sweep_reports(2, 5, 2, [6]),
+        lambda: sweep_reports(2, 5, 2, [-1], with_exact=True),
         lambda: sweep_reports(2, 5, 2, [0, 6]),
         lambda: sweep_reports(2, 5, 2, range(10**12)),
         lambda: report_for_word(parse_word("0101"), 5),
@@ -203,18 +201,18 @@ def test_report_errors():
             call()
 
 
-def test_representative_word():
-    assert representative_word(2, 4, 4).text() == "0101"
-    assert representative_word(2, 5, 1).text() == "00000"
-    assert representative_word(3, 6, 3).text() == "012222"
-    report = report_for_params(2, 4, 4, 1, with_exact=True)
-    assert report.exact == 4
-    report = report_for_params(2, 5, 1, 3, with_exact=True)
-    assert report.exact == 1
+def test_exact_column_witness():
+    # A parameter report's exact column is the ball of the canonical word
+    # with r - 1 unit runs then one long run.
+    cases = ((2, 4, 4, "0101", 1, 4), (2, 5, 1, "00000", 3, 1), (3, 6, 3, "012222", 2, 4))
+    for q, n, r, text, t, want in cases:
+        assert unbalanced_profile(n, r, q).to_word().text() == text
+        assert len(enumerate_ball(parse_word(text, q), t)) == want
+        assert sweep_reports(q, n, r, [t], with_exact=True)[0].exact == want
 
 
 def test_report_json_round_trip():
-    report = report_for_params(3, 120, 24, 40, with_exact=False)
+    report = sweep_reports(3, 120, 24, [40], with_exact=False)[0]
     payload = json.loads(json.dumps(report.to_json_dict()))
     assert payload["q"] == 3 and payload["t"] == 40
     assert "exact" not in payload
@@ -255,7 +253,7 @@ def test_report_formats_counts_past_the_digit_limit():
 def test_sweep_reports_share_exact_column():
     reports = sweep_reports(2, 12, 4, list(range(0, 13)), with_exact=True)
     assert [rep.t for rep in reports] == list(range(13))
-    word = representative_word(2, 12, 4)
+    word = unbalanced_profile(12, 4, 2)
     for rep in reports:
         assert rep.exact == ball_size(word, rep.t)
         assert rep.exact <= rep.new_upper
@@ -277,6 +275,12 @@ def test_sandwich_random_words():
 
 
 def test_sweep_columns_match_oracles():
+    # Each column against a route that shares no code with it: canonical
+    # peeling for the two witness words, the balanced closed form, the
+    # Calabi-Hartnett recurrence, and the binomial sums written out.
+    def c(a, b):
+        return comb(a, b) if a >= 0 else 0
+
     @lru_cache(maxsize=None)
     def ch(q, n, t):
         if t < 0 or t > n:
@@ -292,19 +296,18 @@ def test_sweep_columns_match_oracles():
         for n in range(1, 15):
             for r in range(1, n + 1):
                 calculator = BalancedBallCalculator(-(-n // r), q)
-                word = representative_word(q, n, r)
+                lower_runs = (1,) * (r - 1) + (n - r + 1,)
                 reports = sweep_reports(q, n, r, range(n + 1), with_exact=True)
                 assert [rep.t for rep in reports] == list(range(n + 1))
                 for rep in reports:
                     t = rep.t
-                    assert rep.exact == ball_size(word, t)
+                    assert rep.exact == canonical_ball_size(lower_runs, q, t)
                     assert rep.new_upper == calculator.ball_closed(r, t)
-                    assert rep.new_upper == balanced_upper_bound(q, n, r, t)
-                    assert rep.new_lower == unbalanced_lower_bound(n, r, t)
-                    assert rep.ch_upper == ch(q, n, t) == calabi_hartnett_max(q, n, t)
+                    assert rep.new_lower == canonical_ball_size(lower_runs, 2, t)
+                    assert rep.ch_upper == ch(q, n, t)
                     assert rep.hr_upper == hr_upper(q, n, t)
-                    assert (rep.hr_lower, rep.hr_upper) == hirschberg_regnier_bounds(q, n, r, t)
-                    assert (rep.lev_lower, rep.lev_upper) == levenshtein_bounds(r, t)
+                    assert rep.hr_lower == sum(c(r - t, i) for i in range(t + 1))
+                    assert (rep.lev_lower, rep.lev_upper) == (c(r - t + 1, t), c(r + t - 1, t))
 
 
 def test_bound_report_value_contract():
@@ -315,7 +318,7 @@ def test_bound_report_value_contract():
     report = BoundReport(**fields)
     assert report.exact is None
     assert report == BoundReport(2, 4, 4, 1, 4, 4, 4, 4, 4, 4, 4, None)
-    assert report_for_params(2, 4, 4, 1) == report
+    assert sweep_reports(2, 4, 4, [1]) == [report]
     assert repr(report) == (
         "BoundReport(q=2, n=4, r=4, t=1, lev_lower=4, lev_upper=4, hr_lower=4, "
         "hr_upper=4, ch_upper=4, new_lower=4, new_upper=4, exact=None)"

@@ -563,6 +563,8 @@ def test_canonical_ball_size_table_rows():
     assert canonical_ball_size((4, 3, 3, 4, 5, 5), 3, 7) == 625
     assert canonical_ball_size((7,), 4, 0) == 1
     assert canonical_ball_size((), 3, 0) == 1
+    # An alphabet past a C ssize_t: the table keeps min(r, q) - 1 columns.
+    assert canonical_ball_size((1, 1, 1), 2**64, 1) == 3
 
 
 def test_canonical_ball_size_validation():
@@ -612,6 +614,8 @@ def test_canonical_ball_size_matches_dp():
 @given(st.integers(2, 5), st.lists(st.integers(1, 6), max_size=10))
 @example(2, [])
 @example(5, [6] * 10)
+@example(2**63 + 1, [2, 1, 3])
+@example(2**64 + 1, [1, 1, 1])
 def test_canonical_ball_size_equals_dp_property(q, lengths):
     profile = canonical_profile(lengths, q)
     assert encode_runs(profile.to_word()) == profile

@@ -12,7 +12,7 @@ from delball.words import (
     encode_runs,
     parse_run_profile,
     parse_word,
-    unbalanced_binary_word,
+    unbalanced_profile,
 )
 
 
@@ -91,14 +91,14 @@ def test_balanced_tail_word_unit_runs():
     assert balanced_tail_word(3, 1, 2).text() == "10"
 
 
-def test_unbalanced_binary_word():
-    assert unbalanced_binary_word(6, 4).text() == "010111"
-    assert unbalanced_binary_word(5, 1).text() == "00000"
-    assert unbalanced_binary_word(4, 4).text() == "0101"
-    with pytest.raises(ValueError):
-        unbalanced_binary_word(4, 5)
-    with pytest.raises(ValueError):
-        unbalanced_binary_word(4, 0)
+def test_unbalanced_profile():
+    assert unbalanced_profile(6, 4, 2) == RunProfile((1, 1, 1, 3), (0, 1, 0, 1), 2)
+    assert unbalanced_profile(6, 4, 2).to_word().text() == "010111"
+    assert unbalanced_profile(5, 1, 2).to_word().text() == "00000"
+    assert unbalanced_profile(4, 4, 2).to_word().text() == "0101"
+    for n, r in ((4, 5), (4, 0), (0, 0)):
+        with pytest.raises(ValueError, match=rf"^need 1 <= r <= n, got r={r}, n={n}$"):
+            unbalanced_profile(n, r, 2)
 
 
 def test_cyclic_word():
