@@ -29,12 +29,12 @@ _EXPORTS = {
         (
             "balanced",
             "BalancedBallCalculator StepProfile ball_closed ball_recursive composition_count "
-            "enumerate_step_profiles restricted_sequence_count sequence_count step_alphabet "
-            "tail_ball_closed tail_ball_recursive",
+            "enumerate_step_profiles sequence_count step_alphabet",
         ),
         ("binomials", "binomial"),
         ("bounds", "BoundReport calabi_hartnett_max levenshtein_bounds report_for_word sweep_reports"),
-        ("exact", "EnumerationBudgetError ball_size ball_size_all canonical_ball_size enumerate_ball"),
+        ("exact", "ball_size ball_size_all"),
+        ("oracles", "EnumerationBudgetError canonical_ball_size enumerate_ball"),
         (
             "ops",
             "ChainStep apply_permutation balance_step balancing_chain cyclicize insert_symbol "

@@ -173,14 +173,6 @@ def _profile_sequence_count(k: int, profile: StepProfile, cycles: int) -> int:
     return count
 
 
-def restricted_sequence_count(q: int, k: int, run_drop: int, del_drop: int) -> int:
-    """Ordered step sequences consuming (run_drop, del_drop) with no full-cycle step."""
-    return sum(
-        _profile_sequence_count(k, profile, 0)
-        for profile in enumerate_step_profiles(q, k, run_drop, del_drop)
-    )
-
-
 def sequence_count(q: int, k: int, run_drop: int, del_drop: int) -> int:
     """Ordered step sequences over step_alphabet(q, k) consuming (run_drop, del_drop)."""
     if run_drop < 0 or del_drop < 0:
@@ -324,11 +316,3 @@ def ball_recursive(r: int, k: int, t: int, q: int) -> int:
 
 def ball_closed(r: int, k: int, t: int, q: int) -> int:
     return BalancedBallCalculator(k, q).ball_closed(r, t)
-
-
-def tail_ball_recursive(r: int, k: int, t: int, q: int) -> int:
-    return BalancedBallCalculator(k, q).tail_ball_recursive(r, t)
-
-
-def tail_ball_closed(r: int, k: int, t: int, q: int) -> int:
-    return BalancedBallCalculator(k, q).tail_ball_closed(r, t)

@@ -17,12 +17,14 @@ usage error), which an unwritable stderr loses without changing the code.
 Every launch is a fresh interpreter, so this module imports no layer at
 its top: each command loads the modules it runs on first use.  ``--help``
 and a usage error load no delball module but this one and the package;
-``count`` adds ``words`` and ``exact`` (``split`` only when a count
-forks), ``chain`` those and ``ops``, ``bounds`` and ``sweep`` those of
-``count`` and ``binomials`` and ``bounds``.  The commands call the package exports they use (such as
-``ball_size``) as attributes of this module, which the module
-``__getattr__`` resolves through the package's lazy table, so a
-``setattr`` on the module replaces what a command calls.
+``count`` adds ``words`` and ``exact`` (``split`` only when it forks),
+or ``words`` and ``oracles`` with ``--method canonical|enumerate``;
+``chain`` adds ``words``, ``exact`` and ``ops``; ``bounds`` and ``sweep``
+add ``words``, ``exact``, ``binomials`` and ``bounds``.  The commands
+call the package exports they use (such as ``ball_size``) as attributes
+of this module, which the module ``__getattr__`` resolves through the
+package's lazy table, so a ``setattr`` on the module replaces what a
+command calls.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ def __getattr__(name: str) -> object:
 
 
 def _budget_error() -> type[Exception] | tuple[()]:
-    """``EnumerationBudgetError`` once ``exact`` (which alone raises it) is
+    """``EnumerationBudgetError`` once ``oracles`` (which alone raises it) is
     loaded, else an empty tuple, which no exception matches."""
-    exact = sys.modules.get(f"{__package__}.exact")
-    return () if exact is None else exact.EnumerationBudgetError
+    oracles = sys.modules.get(f"{__package__}.oracles")
+    return () if oracles is None else oracles.EnumerationBudgetError
 
 
 def _drop_pending(stream) -> None:

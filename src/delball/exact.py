@@ -1,24 +1,18 @@
-"""Ground-truth deletion-ball sizes.
+"""The production deletion-ball count: a banded distinct-subsequence DP.
 
 The ball of a word X under t deletions is the set of distinct strings
 reachable by deleting exactly t symbols.  Conventions used throughout:
 the ball is empty for t < 0 or t > n, and is the singleton {empty word}
-for t = n.
+for t = n.  The oracles that check this DP are in ``oracles``.
 
-Two independent routes compute the ball size:
-
-* ``enumerate_ball`` materializes the set itself.  It refuses (budget
-  guard) once the number of candidate subsequences C(n, t) grows past
-  DELBALL_ENUM_BUDGET, because every candidate is generated.
-* ``ball_size`` runs a distinct-subsequence dynamic program and is the
-  workhorse.  It takes a Word or its RunProfile, and ``_fold``, the one
-  loop over runs, applies ``_run_update`` to each: one pass over the row
-  per run of any length.  The row keeps only the lengths that can still
-  reach n - t, a band at most min(t, n - t) + 1 wide, so one value costs
-  about runs * min(t, n - t) big-integer operations whatever the run
-  lengths (plus O(n) to group a Word).  ``ball_size_all`` keeps the
-  lengths of a range of t in one row, every length by default (about
-  runs * n / 2 operations); ``ball_size`` is its one-t case.
+``ball_size`` takes a Word or its RunProfile, and ``_fold``, the one loop
+over runs, applies ``_run_update`` to each: one pass over the row per run
+of any length.  The row keeps only the lengths that can still reach
+n - t, a band at most min(t, n - t) + 1 wide, so one value costs about
+runs * min(t, n - t) big-integer operations whatever the run lengths
+(plus O(n) to group a Word).  ``ball_size_all`` keeps the lengths of a
+range of t in one row, every length by default (about runs * n / 2
+operations); ``ball_size`` is its one-t case.
 
 A prefix P = runs[:c] of h symbols and the rest S join at h (``_join``):
 every distinct subsequence factors uniquely there through its leftmost
@@ -35,72 +29,21 @@ module ``split`` folds P in this process and reversed S in a forked child
 at the same time.  The split is taken only on Linux with os.fork, two CPUs
 in the affinity mask and no second live thread; otherwise, and below the
 cell threshold, the plain single-pass DP runs.  ``ball_size_all`` never
-splits.  ``_ball_sizes`` counts a sequence of profiles that differ in a
-few runs, such as a balancing chain: it keeps the states of P and of
-reversed S at every run boundary and reruns only the runs that change,
-folding each from the state before it.
-
-``canonical_ball_size`` is a third route, valid only for words whose run
-symbols increase cyclically; it fills a table over the suffixes of the
-run-length vector alone, from the last run backwards.
+splits.  The other route is the balancing chain, ``ops._ball_sizes``.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
-from collections import deque
-from itertools import accumulate, chain, combinations, repeat, zip_longest
-from math import comb
+from itertools import accumulate, chain, repeat, zip_longest
 from operator import mul, sub
 
-from .words import RunProfile, Word, canonical_profile, encode_runs
+from .words import RunProfile, Word, encode_runs
 
-DEFAULT_ENUM_BUDGET = 2_000_000
-ENUM_BUDGET_ENV = "DELBALL_ENUM_BUDGET"
 # A fork and the pipe cost a few ms, which the split wins back from about
 # 50,000 cells (15 ms of DP) on a 2-vCPU host; a step of the 44-step chain
 # of a 480-symbol word predicts under 3,000.
 SPLIT_MIN_CELLS = 100_000
-
-
-class EnumerationBudgetError(RuntimeError):
-    """enumerate_ball would generate more candidates than the budget allows."""
-
-
-def enumeration_budget() -> int:
-    """Active candidate budget: DELBALL_ENUM_BUDGET if set, else the default."""
-    raw = os.environ.get(ENUM_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENUM_BUDGET_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{ENUM_BUDGET_ENV} must be positive, got {value}")
-    return value
-
-
-def enumerate_ball(word: Word | RunProfile, t: int) -> set[Word]:
-    """The set of distinct words reachable from ``word`` by exactly t deletions.
-
-    Raises EnumerationBudgetError when C(n, t) exceeds enumeration_budget(),
-    without building a large C(n, t): C(n, t) = C(n, k) >= 2**k for
-    k = min(t, n - t), so C(n, k) is computed only for k below the budget's
-    bit length.  A RunProfile is decoded only once the budget admits it.
-    """
-    n = len(word)
-    if t < 0 or t > n:
-        return set()
-    budget = enumeration_budget()
-    k = min(t, n - t)
-    if k >= budget.bit_length() or comb(n, k) > budget:
-        raise EnumerationBudgetError(f"C({n}, {t}) candidate subsequences exceed budget {budget}")
-    if isinstance(word, RunProfile):
-        word = word.to_word()
-    q = word.alphabet_size
-    return {Word(kept, q) for kept in combinations(word.symbols, n - t)}
 
 
 _State = tuple[int, int, list[int], dict[int, tuple[int, list[int]]]]
@@ -217,71 +160,9 @@ def _join(prefix_state: _State, suffix_snapshots, n: int, length: int) -> int:
     return total
 
 
-def _changed_runs(old: RunProfile | None, new: RunProfile | None) -> list[int] | None:
-    """The indices of the runs whose length differs from ``old`` to ``new``,
-    or None when either is None or the two differ in run symbols or length."""
-    if old is None or new is None or (old.symbols, len(old)) != (new.symbols, len(new)):
-        return None
-    return [j for j, (x, y) in enumerate(zip(old.lengths, new.lengths)) if x != y]
-
-
-def _ball_sizes(profiles: list[RunProfile], t: int) -> list[int]:
-    """[ball_size(p, t) for p in profiles], rerunning only the runs that change.
-
-    Made for chains of profiles that differ in a few run lengths, like the
-    steps of ``ops.balancing_chain``.  One stack holds the forward DP state
-    after each of the first runs, another the state of the reversed word
-    after each of the last runs.  For each profile the states that read a
-    run changed since the previous profile are popped; the two stacks are
-    extended through the changed runs to meet at a cut, and their tops are
-    joined by ``_join``.  Any cut from the first changed run to just past
-    the last costs the same; it is placed as near as it can be to the runs
-    the next profile changes, so that the next profile pops the fewest
-    states.  A profile whose run symbols or length differ from the previous
-    one starts both stacks over, so the first profile costs one full DP and
-    a later one its changed runs plus one join.  The stacks hold at most
-    r + 2 states, each one band row of at most min(t, n - t) + 1 counts
-    plus one new snapshot row for a run longer than 1: at most about twice
-    the cells ``_split_plan`` predicts for one DP.  Never forks.
-    """
-    sizes: list[int] = []
-    for before, profile, after in zip([None, *profiles], profiles, [*profiles[1:], None]):
-        lengths, symbols, _ = profile
-        n, r = len(profile), len(lengths)
-        if not 0 <= t <= n:  # so is a next profile of length n; a longer one starts over
-            sizes.append(0)
-            continue
-        changed = _changed_runs(before, profile)
-        if changed is None:
-            forward, backward = [_START], [_START]
-            first, last = 0, r - 1
-        elif not changed:
-            sizes.append(sizes[-1])
-            continue
-        else:
-            first, last = changed[0], changed[-1]
-            del forward[first + 1 :], backward[r - last :]
-        ahead = _changed_runs(profile, after)
-        cut = min(max(ahead[0] if ahead else last, first), last + 1)
-        length = n - t
-        below = max(0, length - 1)
-        while len(backward) <= r - cut:  # backward[j] has read the last j runs
-            j = r - len(backward)
-            backward.append(_fold([(lengths[j], symbols[j])], n, below, below, backward[-1]))
-        while len(forward) <= cut:  # forward[j] has read the first j runs
-            j = len(forward) - 1
-            forward.append(_fold([(lengths[j], symbols[j])], n, length, length, forward[-1]))
-        sizes.append(_join(forward[cut], backward[r - cut][3].items(), n, length))
-    return sizes
-
-
 def ball_size(word: Word | RunProfile, t: int) -> int:
-    """|ball(word, t)| by dynamic programming; 0 outside 0 <= t <= n.
-
-    A DP predicted to visit at least SPLIT_MIN_CELLS cells is split at the
-    run that halves the prediction, and its second half runs in a child
-    process when a second core is free (see ``split.split_count``).
-    """
+    """|ball(word, t)| by dynamic programming; 0 outside 0 <= t <= n.  A DP
+    of at least SPLIT_MIN_CELLS cells splits as the module docstring says."""
     n = len(word)
     if t < 0 or t > n:
         return 0
@@ -321,60 +202,10 @@ def ball_size_all(word: Word | RunProfile, t_min: int = 0, t_max: int | None = N
     return _fold(zip(lengths, symbols), n, n - t_max, n - t_min)[2][::-1]
 
 
-def canonical_ball_size(lengths: tuple[int, ...] | list[int], q: int, t: int) -> int:
-    """Ball size of canonical_word(lengths, q), by peeling the first run.
+def __getattr__(name: str) -> object:
+    """The oracles that ``perfbench/test_perfbench.py`` imports from here, loaded on first use."""
+    if name not in ("canonical_ball_size", "enumerate_ball"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracles
 
-    Splits the ball by how many leading runs a subsequence skips before its
-    first kept symbol: skipping the first j runs (plus i extra symbols of
-    run j+1, 0 <= i < x_1 choices of where the peeling stopped) leaves the
-    suffix profile with run j+1 shortened by one.  A trailing +1 accounts
-    for subsequences erased entirely out of the first run when t > n - x_1.
-    Equals ball_size on the decoded word for every t; only run lengths and
-    the alphabet size enter, and ``canonical_profile`` refuses them where
-    no canonical word exists (raising ValueError).
-
-    Peeling only ever reaches suffixes of the run vector, whole or with
-    their first run shortened by one, at t no larger than the one asked
-    for.  So the table is filled from the last run backwards, one column
-    over 0..t per suffix, keeping the shortened columns of the at most
-    min(r, q) - 1 suffixes after the current one that it reads (a bound
-    by q alone would overflow a C ssize_t past q = 2**63).  Columns are
-    prefix sums, so the i-sum above is one difference.  Costs
-    O(runs * min(runs, q) * t) operations, with no recursion.
-    """
-    lengths = canonical_profile(lengths, q).lengths
-    if not 0 <= t <= sum(lengths):
-        return 0
-    r = len(lengths)
-
-    def column(s: int, x1: int, n: int, rest: list[int]) -> list[int]:
-        """Prefix sums over u = 0..t of the ball sizes of the n-symbol suffix
-        from run s, run s cut to x1; ``rest`` is the column of the suffix after
-        run s, ``cut[j - 1]`` that of the suffix from run s + j, shortened."""
-        sizes = []
-        for u in range(t + 1):
-            if u > n:
-                size = 0
-            elif u == 0 or u == n:
-                size = 1
-            else:
-                size = rest[u + 1] - rest[u] + (u > n - x1)
-                skipped = x1
-                for j in range(1, min(r - s, q)):
-                    low = u - skipped
-                    if low + x1 > 0:
-                        size += cut[j - 1][low + x1] - cut[j - 1][max(low, 0)]
-                    skipped += lengths[s + j]
-            sizes.append(size)
-        return list(accumulate(sizes, initial=0))
-
-    rest = [0] + [1] * (t + 1)  # the empty suffix
-    cut: deque[list[int]] = deque(maxlen=min(r, q - 1))
-    n = 0
-    for s in range(r - 1, -1, -1):
-        x = lengths[s]
-        n += x
-        shortened = column(s, x - 1, n - 1, rest) if x > 1 else rest
-        rest = column(s, x, n, rest)
-        cut.appendleft(shortened)
-    return rest[t + 1] - rest[t]
+    return getattr(oracles, name)

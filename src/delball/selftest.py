@@ -17,8 +17,11 @@ from collections import namedtuple
 
 from .balanced import BalancedBallCalculator
 from .bounds import calabi_hartnett_max, sweep_reports
-from .exact import _ball_sizes, _split_plan, ball_size, ball_size_all, enumerate_ball
-from .ops import apply_permutation, balance_step, balancing_chain, cyclicize, insert_symbol, reduce_to_binary
+from .exact import _split_plan, ball_size, ball_size_all
+from .ops import (
+    _ball_sizes, apply_permutation, balance_step, balancing_chain, cyclicize, insert_symbol, reduce_to_binary,
+)
+from .oracles import enumerate_ball
 from .split import split_count
 from .words import (
     RunProfile,

@@ -12,13 +12,11 @@ from delball.balanced import (
     ball_recursive,
     composition_count,
     enumerate_step_profiles,
-    restricted_sequence_count,
     sequence_count,
     step_alphabet,
-    tail_ball_closed,
-    tail_ball_recursive,
 )
-from delball.exact import ball_size, ball_size_all, enumerate_ball
+from delball.exact import ball_size, ball_size_all
+from delball.oracles import enumerate_ball
 from delball.words import balanced_tail_word, balanced_word, canonical_profile, parse_word
 
 
@@ -33,11 +31,9 @@ def brute_compositions(parts: int, total: int, k: int) -> int:
     return sum(brute_compositions(parts - 1, total - y, k) for y in range(min(k - 1, total) + 1))
 
 
-def brute_sequences(q: int, k: int, run_drop: int, del_drop: int, allow_cycle=True) -> int:
+def brute_sequences(q: int, k: int, run_drop: int, del_drop: int) -> int:
     """Count ordered step sequences by direct DP over the step alphabet."""
     steps = step_alphabet(q, k)
-    if not allow_cycle:
-        steps = [s for s in steps if s != (q, (q - 1) * k)]
 
     @lru_cache(maxsize=None)
     def count(a: int, b: int) -> int:
@@ -130,15 +126,12 @@ def test_sequence_count_conventions():
     assert sequence_count(3, 2, -1, 0) == 0
     assert sequence_count(3, 2, 0, -1) == 0
     assert sequence_count(3, 2, 0, 3) == 0
-    assert restricted_sequence_count(3, 2, 0, 0) == 1
 
 
 def test_sequence_count_examples():
     # frozen from the brute-force DP oracle
     assert sequence_count(3, 2, 3, 4) == 3
     assert brute_sequences(3, 2, 3, 4) == 3
-    assert restricted_sequence_count(3, 2, 2, 1) == 2
-    assert brute_sequences(3, 2, 2, 1, allow_cycle=False) == 2
 
 
 def test_sequence_count_against_brute_force():
@@ -149,9 +142,6 @@ def test_sequence_count_against_brute_force():
                     assert sequence_count(q, k, run_drop, del_drop) == brute_sequences(
                         q, k, run_drop, del_drop
                     )
-                    assert restricted_sequence_count(
-                        q, k, run_drop, del_drop
-                    ) == brute_sequences(q, k, run_drop, del_drop, allow_cycle=False)
 
 
 # --- ball values ----------------------------------------------------------
@@ -161,9 +151,10 @@ def test_single_run_balls():
         for k in (1, 2, 4):
             for t in range(0, k + 1):
                 assert ball_recursive(1, k, t, q) == 1
+            calc = BalancedBallCalculator(k, q)
             for t in range(0, k):
-                assert tail_ball_recursive(1, k, t, q) == 1
-            assert tail_ball_recursive(1, k, k, q) == 0
+                assert calc.tail_ball_recursive(1, t) == 1
+            assert calc.tail_ball_recursive(1, k) == 0
 
 
 def test_named_values():
@@ -176,14 +167,14 @@ def test_named_values():
 def test_tail_ball_values():
     # 13 frozen from ball_size(parse_word("0112200", 3), 3)
     assert ball_size(parse_word("0112200", 3), 3) == 13
-    assert tail_ball_recursive(4, 2, 3, 3) == 13
-    assert tail_ball_closed(4, 2, 3, 3) == 13
+    assert BalancedBallCalculator(2, 3).tail_ball_recursive(4, 3) == 13
+    assert BalancedBallCalculator(2, 3).tail_ball_closed(4, 3) == 13
     # 411 frozen from the DP on the 6x4 tail word
     assert ball_size(balanced_tail_word(6, 4, 3), 6) == 411
-    assert tail_ball_closed(6, 4, 6, 3) == 411
+    assert BalancedBallCalculator(4, 3).tail_ball_closed(6, 6) == 411
     for q in (2, 3, 5):
-        assert tail_ball_recursive(3, 2, 6, q) == 0
-        assert tail_ball_closed(3, 2, 6, q) == 0
+        assert BalancedBallCalculator(2, q).tail_ball_recursive(3, 6) == 0
+        assert BalancedBallCalculator(2, q).tail_ball_closed(3, 6) == 0
 
 
 def test_boundary_conventions():
@@ -252,7 +243,8 @@ def test_recursion_depth_independent_of_run_count():
     assert ball_recursive(1500, 2, 3, 3) == ball_size(balanced_word(1500, 2, 3), 3) == 563624000
     assert ball_recursive(1500, 1, 3, 1600) == ball_size(balanced_word(1500, 1, 1600), 3)
     assert ball_closed(1500, 1, 3, 1600) == 561375500
-    assert tail_ball_recursive(1500, 2, 3, 3) == ball_size(balanced_tail_word(1500, 2, 3), 3)
+    tail = BalancedBallCalculator(2, 3).tail_ball_recursive(1500, 3)
+    assert tail == ball_size(balanced_tail_word(1500, 2, 3), 3)
 
 
 ROUTES = ("ball_recursive", "ball_closed", "tail_ball_recursive", "tail_ball_closed")

@@ -19,7 +19,8 @@ from delball.bounds import (
     report_for_word,
     sweep_reports,
 )
-from delball.exact import ball_size, ball_size_all, canonical_ball_size, enumerate_ball
+from delball.exact import ball_size, ball_size_all
+from delball.oracles import canonical_ball_size, enumerate_ball
 from delball.words import Word, cyclic_word, decimal, encode_runs, parse_word, unbalanced_profile
 
 

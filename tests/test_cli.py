@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import delball
-from delball import cli
+from delball import cli, exact, oracles
 from delball.bounds import calabi_hartnett_max
 from delball.cli import main
-from delball.exact import ball_size, canonical_ball_size
+from delball.exact import ball_size
+from delball.oracles import canonical_ball_size
 from delball.words import encode_runs, parse_word
 
 
@@ -410,7 +411,8 @@ LAUNCH_MODULES = (
     (("count", "--help"), 0, ()),
     (("count", "--word", "0101"), 2, ()),  # a usage error: -t is missing
     (("count", "--word", "0101", "-t", "1"), 0, ("exact", "words")),
-    (("count", "--runs", "2,2;0,1", "-t", "1", "--method", "canonical"), 0, ("exact", "words")),
+    (("count", "--runs", "2,2;0,1", "-t", "1", "--method", "canonical"), 0, ("oracles", "words")),
+    (("count", "--runs", "2,2;0,1", "-t", "1", "--method", "enumerate"), 0, ("oracles", "words")),
     (("chain", "--word", "0011", "-t", "1"), 0, ("exact", "ops", "words")),
     (("bounds", "--q", "3", "--n", "12", "--r", "4", "-t", "2"), 0, ("binomials", "bounds", "exact", "words")),
     (("sweep", "--q", "3", "--n", "12", "--r", "4", "--t", "0..2"), 0, ("binomials", "bounds", "exact", "words")),
@@ -505,13 +507,22 @@ def test_oracles_import_without_dataclasses():
 def test_package_exports_resolve_to_submodule_objects():
     namespace = {}
     exec("from delball import *", namespace)
-    assert sorted(delball.__all__) == delball.__all__ and len(delball.__all__) == 39
+    assert sorted(delball.__all__) == delball.__all__ and len(delball.__all__) == 36
     for name in delball.__all__:
         value = namespace[name]
         module = sys.modules[value.__module__]
         assert module.__name__.startswith("delball.")
         assert getattr(module, name) is value is getattr(delball, name)
     assert delball.bounds is sys.modules["delball.bounds"]
+
+
+def test_exact_resolves_only_the_two_oracles_it_held():
+    from delball.exact import canonical_ball_size, enumerate_ball
+
+    assert canonical_ball_size is oracles.canonical_ball_size
+    assert enumerate_ball is oracles.enumerate_ball
+    with pytest.raises(AttributeError):
+        exact.enumeration_budget
 
 
 def launch(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, unbuffered=False, closed_fd=None,
@@ -642,7 +653,16 @@ def test_count_enumerate_refused_at_any_size_exit_3():
         result = launch("count", "--runs", f"{half},{half};0,1", "-t", str(half), "--method", "enumerate")
         assert time.perf_counter() - started < 10
         assert result.stdout == ""
-        assert_one_line(result, 3, f"C({n}, {half}) candidate subsequences exceed budget 2000000\n")
+        assert_one_line(result, 3, f"C({n}, {half}) candidates of {half} symbols exceed budget 2000000\n")
+
+
+def test_count_enumerate_refuses_long_candidates_exit_3():
+    # 20,000 candidates of 19,999 symbols: few candidates, each one long.
+    started = time.perf_counter()
+    result = launch("count", "--runs", "20000;0", "-t", "1", "--method", "enumerate")
+    assert time.perf_counter() - started < 1
+    assert result.stdout == ""
+    assert_one_line(result, 3, "C(20000, 1) candidates of 19999 symbols exceed budget 2000000\n")
 
 
 def test_help_and_usage_errors_as_processes():

@@ -11,21 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delball import exact, split
+from delball import exact, oracles, split
 from delball.bounds import report_for_word
-from delball.exact import (
-    SPLIT_MIN_CELLS,
-    EnumerationBudgetError,
-    _ball_sizes,
-    _fold,
-    _split_plan,
-    ball_size,
-    ball_size_all,
-    canonical_ball_size,
-    enumerate_ball,
-    enumeration_budget,
-)
-from delball.ops import balance_step, balancing_chain, cyclicize
+from delball.exact import SPLIT_MIN_CELLS, _fold, _split_plan, ball_size, ball_size_all
+from delball.ops import _ball_sizes, balance_step, balancing_chain, cyclicize
+from delball.oracles import EnumerationBudgetError, canonical_ball_size, enumerate_ball, enumeration_budget
 from delball.words import (
     RunProfile,
     Word,
@@ -51,35 +41,42 @@ def test_enumerate_ball_examples():
 
 
 def test_enumerate_ball_budget(monkeypatch):
-    word = Word(tuple(i % 2 for i in range(16)), 2)
+    word = Word(tuple(i % 2 for i in range(16)), 2)  # C(16, 8) = 12,870 candidates of 8 symbols
     monkeypatch.setenv("DELBALL_ENUM_BUDGET", "100")
     with pytest.raises(EnumerationBudgetError):
         enumerate_ball(word, 8)
-    monkeypatch.setenv("DELBALL_ENUM_BUDGET", "13000")
+    monkeypatch.setenv("DELBALL_ENUM_BUDGET", "102960")
     assert len(enumerate_ball(word, 8)) > 0
 
 
 def test_enumerate_ball_budget_boundary(monkeypatch):
-    word = parse_word("0101010101")  # C(10, 5) = 252 candidates at t = 5
-    monkeypatch.setenv("DELBALL_ENUM_BUDGET", "252")
+    word = parse_word("0101010101")  # C(10, 5) = 252 candidates of 5 symbols at t = 5
+    monkeypatch.setenv("DELBALL_ENUM_BUDGET", "1260")
     assert len(enumerate_ball(word, 5)) == ball_size(word, 5)
-    monkeypatch.setenv("DELBALL_ENUM_BUDGET", "251")
-    with pytest.raises(EnumerationBudgetError, match=r"^C\(10, 5\) .* exceed budget 251$"):
+    monkeypatch.setenv("DELBALL_ENUM_BUDGET", "1259")
+    with pytest.raises(EnumerationBudgetError, match=r"^C\(10, 5\) .* exceed budget 1259$"):
         enumerate_ball(word, 5)
-    monkeypatch.setenv("DELBALL_ENUM_BUDGET", "1")  # one candidate when k = min(t, n - t) = 0
+    # One candidate when k = min(t, n - t) = 0: the word itself at t = 0
+    # (10 symbols) and the empty word at t = n (counted as one symbol).
+    monkeypatch.setenv("DELBALL_ENUM_BUDGET", "10")
     assert enumerate_ball(Word((), 2), 0) == {Word((), 2)}
     assert enumerate_ball(RunProfile((), (), 2), 0) == {Word((), 2)}
     assert enumerate_ball(word, 0) == {word}
     assert enumerate_ball(word, 10) == {Word((), 2)}
     with pytest.raises(EnumerationBudgetError):
-        enumerate_ball(word, 1)
+        enumerate_ball(word, 1)  # 10 candidates of 9 symbols
+    monkeypatch.setenv("DELBALL_ENUM_BUDGET", "1")
+    assert enumerate_ball(word, 10) == {Word((), 2)}
+    with pytest.raises(EnumerationBudgetError):
+        enumerate_ball(word, 0)
 
 
 def test_enumerate_ball_budget_matches_binomial(monkeypatch):
-    # The guard admits exactly the (n, t, budget) with C(n, t) <= budget,
-    # budgets on both sides of a power of two included.  Admitted requests
-    # generate no candidate here, so large budgets stay cheap.
-    monkeypatch.setattr(exact, "combinations", lambda symbols, length: ())
+    # The guard admits exactly the (n, t, budget) with C(n, t) candidates of
+    # n - t symbols, C(n, t) * max(1, n - t), within the budget, budgets on
+    # both sides of a power of two included.  Admitted requests generate no
+    # candidate here, so large budgets stay cheap.
+    monkeypatch.setattr(oracles, "combinations", lambda symbols, length: ())
     for budget in (1, 2, 3, 4, 7, 8, 9, 251, 252, 253, 2_000_000, 2**64 - 1, 2**64, 2**64 + 1):
         monkeypatch.setenv("DELBALL_ENUM_BUDGET", str(budget))
         for n in range(0, 90):
@@ -89,7 +86,7 @@ def test_enumerate_ball_budget_matches_binomial(monkeypatch):
                     admitted = enumerate_ball(word, t) == set()
                 except EnumerationBudgetError:
                     admitted = False
-                assert admitted == (comb(n, t) <= budget), (n, t, budget)
+                assert admitted == (comb(n, t) * max(1, n - t) <= budget), (n, t, budget)
 
 
 def test_enumerate_ball_refuses_huge_requests_at_once(monkeypatch):
@@ -98,7 +95,7 @@ def test_enumerate_ball_refuses_huge_requests_at_once(monkeypatch):
     with pytest.raises(EnumerationBudgetError) as refused:
         enumerate_ball(RunProfile((10**6, 10**6), (0, 1), 2), 10**6)
     assert time.perf_counter() - started < 1.0
-    assert str(refused.value) == "C(2000000, 1000000) candidate subsequences exceed budget 2000000"
+    assert str(refused.value) == "C(2000000, 1000000) candidates of 1000000 symbols exceed budget 2000000"
 
 
 def test_budget_env_override(monkeypatch):

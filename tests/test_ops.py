@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from delball.exact import ball_size, ball_size_all, enumerate_ball
+from delball.exact import ball_size, ball_size_all
 from delball.ops import (
     ChainStep,
     apply_permutation,
@@ -12,6 +12,7 @@ from delball.ops import (
     insert_symbol,
     reduce_to_binary,
 )
+from delball.oracles import enumerate_ball
 from delball.words import RunProfile, Word, canonical_profile, encode_runs, parse_word
 
 
