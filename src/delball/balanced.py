@@ -195,8 +195,8 @@ class BalancedBallCalculator:
     Carries private memo tables keyed on (r, t); create one calculator per
     thread.  ``_ball`` is the body of both ball routes and ``_fill`` fills
     every (r, t) table.  ``memo_hits`` / ``memo_misses`` count lookups
-    across all four entry points, so long sweeps can report their
-    memoization hit rate.
+    across all four entry points; the acceptance gate's criterion 9 reports
+    their hit rate over its closed-form sweep.
     """
 
     def __init__(self, k: int, q: int) -> None:

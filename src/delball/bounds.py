@@ -19,14 +19,19 @@ For a word with n symbols, r runs and alphabet q under t deletions:
   unit runs and one long run (relabel runs to binary, then unbalance).
 
 The last two are computed exactly, not from further closed forms: one DP
-pass on each witness's run profile gives its column over the requested t,
-keeping only the band of lengths from n - max(t) to n - min(t), at a cost
-that depends on r and t, not on n (the balanced word's closed form stays
-in ``balanced`` as an oracle).  The Calabi-Hartnett and Hirschberg-Regnier
-lower columns are each one walk up t, at a cost that depends on t, not on
-n.  A report computes every column once.  Reports and sweeps raise
-ValueError for any t outside [0, n].  A ``BoundReport`` is an immutable
-named tuple of the columns.
+pass on each witness's run profile, keeping only the band of lengths from
+n - t_hi to n - t_lo, at a cost that depends on r and t, not on n (the
+balanced word's closed form stays in ``balanced`` as an oracle).  The
+Calabi-Hartnett and Hirschberg-Regnier lower columns are each one walk up
+t, at a cost that depends on t, not on n.
+
+Every column producer takes (..., t_lo, t_hi) and returns the
+t_hi - t_lo + 1 values for t = t_lo..t_hi, as ``exact.ball_size_all``
+does; only the Levenshtein pair is computed per t.  A report maps its
+requested t, in any order and with repeats, onto [min t, max t] once, so
+each column is one walk.  Reports and sweeps raise ValueError for any t
+outside [0, n].  A ``BoundReport`` is an immutable named tuple of the
+columns.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ def levenshtein_bounds(r: int, t: int) -> tuple[int, int]:
     return binomial(r - t + 1, t), binomial(r + t - 1, t)
 
 
-def _calabi_hartnett_column(q: int, n: int, t_values: Sequence[int]) -> list[int]:
-    """D(q, n, t) for each t in t_values (all in [0, n]), in one walk up t.
+def _calabi_hartnett_column(q: int, n: int, t_lo: int, t_hi: int) -> list[int]:
+    """D(q, n, t) for t = t_lo..t_hi (within [0, n]), in one walk up t.
 
     A length-m subsequence of the word cycling through all q symbols is
     fixed by the m gaps of its leftmost embedding (the first one before the
@@ -71,39 +76,33 @@ def _calabi_hartnett_column(q: int, n: int, t_values: Sequence[int]) -> list[int
     D(q, n, t) = sum_{j <= t/q} (-1)^j * C(m, j) * C(n - jq, m).  From t to
     t + 1, term j gains the exact factor (m - j) / (t + 1 - jq), and when q
     divides t + 1 the term j = (t + 1) / q joins as (-1)^j * C(m - 1, j).
-    So a column costs O(t^2 / q) big-integer operations, whatever n is.
-    For q = 2 the sum is sum_{i <= t} C(n - t, i), walked at O(1) per t.
-    By Hirschberg's identity the column is also the Hirschberg-Regnier
-    upper sum, so it serves hr_upper as well as ch_upper.
+    The terms at t_lo are built directly, so a column costs O(t^2 / q)
+    big-integer operations, whatever n is.  For q = 2 the sum is
+    sum_{i <= t} C(n - t, i), walked at O(1) per t.  By Hirschberg's
+    identity the column is also the Hirschberg-Regnier upper sum, so it
+    serves hr_upper as well as ch_upper.
     """
     if q == 1:
-        return [1] * len(t_values)
+        return [1] * (t_hi - t_lo + 1)
     if q == 2:
-        return _hr_lower_column(n, t_values)
-    wanted = set(t_values)
-    if not wanted:
-        return []
-    t, t_max = min(wanted), max(wanted)
-    m = n - t
+        return _hr_lower_column(n, t_lo, t_hi)
+    m = n - t_lo
     b, c = binomial(n, m), 1  # C(n - jq, m) and C(m, j), from j = 0
     terms = [b]
-    for j in range(1, t // q + 1):
+    for j in range(1, t_lo // q + 1):
         c = c * (m - j + 1) // j
         for top in range(n - (j - 1) * q, n - j * q, -1):
             b = b * (top - m) // top
         terms.append(-c * b if j % 2 else c * b)
-    found = {}
-    while True:
-        if t in wanted:
-            found[t] = sum(terms)
-        if t == t_max:
-            return [found[t] for t in t_values]
-        t += 1
+    column = [sum(terms)]
+    for t in range(t_lo + 1, t_hi + 1):
         terms = [x * (m - j) // (t - j * q) for j, x in enumerate(terms)]
         m -= 1
         if t % q == 0:
             j = t // q
             terms.append(-binomial(m, j) if j % 2 else binomial(m, j))
+        column.append(sum(terms))
+    return column
 
 
 def calabi_hartnett_max(q: int, n: int, t: int) -> int:
@@ -116,32 +115,27 @@ def calabi_hartnett_max(q: int, n: int, t: int) -> int:
         raise ValueError("need q >= 1")
     if t < 0 or t > n:
         return 0
-    return _calabi_hartnett_column(q, n, [t])[0]
+    return _calabi_hartnett_column(q, n, t, t)[0]
 
 
-def _hr_lower_column(r: int, t_values: Sequence[int]) -> list[int]:
-    """sum_{i<=t} C(r-t, i) for each t in t_values, in one walk up t.
+def _hr_lower_column(r: int, t_lo: int, t_hi: int) -> list[int]:
+    """sum_{i<=t} C(r-t, i) for t = t_lo..t_hi (t_lo >= 0), in one walk up t.
 
     With m = r - t and S(m, t) = sum_{i<=t} C(m, i), Pascal's rule gives
     S(m-1, t) = (S(m, t) + C(m-1, t)) / 2 and S(m-1, t+1) = S(m-1, t) +
-    C(m-1, t+1), so each step costs O(1) big-integer operations.  S vanishes
-    once m < 0, which ends the walk after at most r + 1 steps.
+    C(m-1, t+1), so each step costs O(1) big-integer operations.  The walk
+    starts at t = 0 and ends at t = r; S vanishes past it.
     """
-    width = max(t_values, default=-1) + 1
-    column = []
     s, c = 1, 1  # S(m, t) and C(m, t), starting at t = 0
-    for t in range(width):
+    column = [s]
+    for t in range(min(r, t_hi)):
         m = r - t
-        if m < 0:
-            break
-        column.append(s)
-        if m == 0:
-            break
         c = c * (m - t) // m  # C(m-1, t)
         s = (s + c) // 2
         c = c * (m - 1 - t) // (t + 1)  # C(m-1, t+1)
         s += c
-    return [column[t] if 0 <= t < len(column) else 0 for t in t_values]
+        column.append(s)
+    return (column + [0] * (t_hi - r))[t_lo:]
 
 
 class BoundReport(
@@ -177,35 +171,28 @@ class BoundReport(
         return ",".join([str(self.t)] + [decimal(self.value(c)) for c in columns])
 
 
-def _ball_column(word: Word | RunProfile, t_values: Sequence[int]) -> list[int]:
-    """Ball sizes of ``word`` for each t in t_values, in order.
-
-    One DP pass keeps only the band of lengths between n - max(t) and
-    n - min(t): O(n) for a narrow range of t near 0 or n.
-    """
-    t_min = min(t_values, default=0)
-    sizes = ball_size_all(word, t_min, max(t_values, default=0))
-    return [sizes[t - t_min] for t in t_values]
-
-
 def _reports(
     q: int, n: int, r: int, t_values: Sequence[int], exact_word: Word | RunProfile | None
 ) -> list[BoundReport]:
     """Reports for each t in order; the exact column, if any, is exact_word's.
 
-    The request is checked before any DP.  Each column is computed once
-    for all t: one DP pass per witness profile, one Calabi-Hartnett column,
-    which by Hirschberg's identity also gives hr_upper, and one walk for
-    hr_lower.  Raises AssertionError if a bound contradicts the exact value.
+    The request is checked before any DP.  Each column is computed once over
+    [t_lo, t_hi] = [min t, max t] and read at t - t_lo; the Calabi-Hartnett
+    column also gives hr_upper by Hirschberg's identity.  Raises
+    AssertionError if a bound contradicts the exact value.
     """
     _check_params(q, n, r, t_values)
-    exact = None if exact_word is None else _ball_column(exact_word, t_values)
-    new_lower = _ball_column(unbalanced_profile(n, r, 2), t_values)
-    new_upper = _ball_column(canonical_profile((-(-n // r),) * r, q), t_values)
-    ch_upper = _calabi_hartnett_column(q, n, t_values)
-    hr_lower = _hr_lower_column(r, t_values)
+    if not t_values:
+        return []
+    t_lo, t_hi = min(t_values), max(t_values)
+    exact = None if exact_word is None else ball_size_all(exact_word, t_lo, t_hi)
+    new_lower = ball_size_all(unbalanced_profile(n, r, 2), t_lo, t_hi)
+    new_upper = ball_size_all(canonical_profile((-(-n // r),) * r, q), t_lo, t_hi)
+    ch_upper = _calabi_hartnett_column(q, n, t_lo, t_hi)
+    hr_lower = _hr_lower_column(r, t_lo, t_hi)
     reports = []
-    for i, t in enumerate(t_values):
+    for t in t_values:
+        i = t - t_lo
         lev_lower, lev_upper = levenshtein_bounds(r, t)
         exact_t = None if exact is None else exact[i]
         report = BoundReport(

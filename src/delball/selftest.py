@@ -205,8 +205,6 @@ def _canonical_lengths_ball(xs: tuple[int, ...], q: int, t: int) -> int:
     """Ball size of the canonical word for xs, tolerating one trailing zero run."""
     if xs and xs[-1] == 0:
         xs = xs[:-1]
-    if not xs:
-        return 1 if t == 0 else 0
     return ball_size(canonical_profile(xs, q), t)
 
 
@@ -247,10 +245,6 @@ def check_balanced_peel_identities(qs=(2, 3, 4, 5), ks=(1, 2, 3), rs=range(1, 8)
     violations = []
 
     def dp_ball(r: int, t: int, k: int, q: int) -> int:
-        if r == 0:
-            return 1 if t == 0 else 0
-        if t < 0 or t > r * k:
-            return 0
         return ball_size(canonical_profile((k,) * r, q), t)
 
     def dp_tail(r: int, t: int, k: int, q: int) -> int:

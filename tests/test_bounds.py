@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from delball import bounds
 from delball.balanced import BalancedBallCalculator, ball_closed, composition_count
 from delball.binomials import binomial
 from delball.bounds import (
@@ -68,12 +69,10 @@ def test_calabi_hartnett_attained_by_cyclic_word():
         for n in range(0, 41):
             sizes = ball_size_all(cyclic_word(n, q))
             assert [calabi_hartnett_max(q, n, t) for t in range(n + 1)] == sizes
-            # The column walks up t from its smallest t, in any request order.
-            assert _calabi_hartnett_column(q, n, range(n + 1)) == sizes
-            assert _calabi_hartnett_column(q, n, range(n, -1, -1)) == sizes[::-1]
-            repeats = [n // 2, 0, n, n // 2, n // 3]
-            assert _calabi_hartnett_column(q, n, repeats) == [sizes[t] for t in repeats]
-            assert _calabi_hartnett_column(q, n, []) == []
+            # The column walks up t from t_lo, so any range is a slice.
+            assert _calabi_hartnett_column(q, n, 0, n) == sizes
+            for t_lo, t_hi in ((n // 3, n), (n // 4, 3 * n // 4), (n // 2, n // 2), (n, n)):
+                assert _calabi_hartnett_column(q, n, t_lo, t_hi) == sizes[t_lo : t_hi + 1]
 
 
 def test_calabi_hartnett_column_matches_gap_count():
@@ -86,7 +85,10 @@ def test_calabi_hartnett_column_matches_gap_count():
         for n in (300, 2000):
             ts = [0, 1, q - 1, q, 2 * q + 1, 97, 250, n - 2, n]
             want = [gap_count(q, n, t) for t in ts]
-            assert _calabi_hartnett_column(q, n, ts) == want
+            column = _calabi_hartnett_column(q, n, 0, n)
+            assert [column[t] for t in ts] == want
+            for t_lo, t_hi in ((97, 250), (250, 250), (n - 2, n)):
+                assert _calabi_hartnett_column(q, n, t_lo, t_hi) == column[t_lo : t_hi + 1]
             assert [calabi_hartnett_max(q, n, t) for t in ts[-3:]] == want[-3:]
 
 
@@ -94,9 +96,12 @@ def test_binary_calabi_hartnett_is_hr_lower_sum():
     # With q = 2 the gaps are 0 or 1, so D(2, r, t) = sum_{i<=t} C(r-t, i).
     for r in range(0, 60):
         ts = list(range(r + 1))
-        column = _hr_lower_column(r, ts)
+        column = _hr_lower_column(r, 0, r)
         assert column == [calabi_hartnett_max(2, r, t) for t in ts]
         assert column == [sum(composition_count(r - t, e, 2) for e in range(t + 1)) for t in ts]
+        for t_lo in ts:
+            assert _hr_lower_column(r, t_lo, r) == column[t_lo:]
+            assert _hr_lower_column(r, t_lo, t_lo) == [column[t_lo]]
 
 
 def test_calabi_hartnett_max_is_fast_at_large_t():
@@ -104,7 +109,10 @@ def test_calabi_hartnett_max_is_fast_at_large_t():
     start = time.perf_counter()
     value = calabi_hartnett_max(5, 10**5, 5000)
     assert time.perf_counter() - start < 2
-    assert value == _calabi_hartnett_column(5, 10**5, [4999, 5000])[1]
+    assert _calabi_hartnett_column(5, 10**5, 4999, 5000) == [
+        calabi_hartnett_max(5, 10**5, 4999),
+        value,
+    ]
 
 
 def test_hirschberg_regnier_examples():
@@ -130,8 +138,33 @@ def test_hr_lower_column_matches_binomial_sums():
         for rep in reports:
             assert rep.hr_lower == sum(binomial(r - rep.t, i) for i in range(rep.t + 1))
     assert [rep.hr_lower for rep in sweep_reports(2, 9, 4, (0, 2, 4, 5, 9))] == [1, 4, 1, 0, 0]
-    # Reports refuse t = -1; the column itself reads it as an empty sum.
-    assert _hr_lower_column(4, (-1, 0, 2, 4, 5, 9)) == [0, 1, 4, 1, 0, 0]
+    # The walk ends at t = r and the column pads zeros past it.
+    assert _hr_lower_column(4, 0, 9) == [1, 4, 4, 2, 1, 0, 0, 0, 0, 0]
+    assert _hr_lower_column(4, 2, 6) == [4, 2, 1, 0, 0]
+    assert _hr_lower_column(4, 5, 5) == [0]
+
+
+def test_sweep_reports_take_t_in_any_order(monkeypatch):
+    # Every column is one walk over [min t, max t]; reports read it in the
+    # requested order, repeats included.
+    for q in (2, 3, 5):
+        for n in range(1, 16):
+            for r in (1, (n + 1) // 2, n):
+                ordered = sweep_reports(q, n, r, range(n + 1), with_exact=True)
+                ts = list(range(n, -1, -1)) + [n // 2, n // 3, n // 2, n]
+                assert sweep_reports(q, n, r, ts, with_exact=True) == [ordered[t] for t in ts]
+                ts = [n // 2, n // 3, n // 2]
+                assert sweep_reports(q, n, r, ts) == [ordered[t]._replace(exact=None) for t in ts]
+    # An empty request is checked, then answered without any DP.
+    def no_dp(*args):
+        raise AssertionError("DP ran for an empty request")
+
+    monkeypatch.setattr(bounds, "ball_size_all", no_dp)
+    for ts in ([], range(0), ()):
+        assert sweep_reports(3, 5, 2, ts) == []
+        assert sweep_reports(3, 5, 2, ts, with_exact=True) == []
+    with pytest.raises(ValueError, match=r"^need 1 <= r <= n, got r=6, n=5$"):
+        sweep_reports(3, 5, 6, [])
 
 
 def test_unbalanced_lower_bound():

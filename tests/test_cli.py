@@ -227,6 +227,31 @@ def test_sweep_n120_outputs_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_sweep_every_column_outputs_pinned(capsys):
+    """Byte-exact sweeps of every column: the q = 2 Calabi-Hartnett column
+    (walked as the Hirschberg-Regnier sum), JSON at q = 5, and a t range
+    that starts past 0, so the Calabi-Hartnett terms are built at t = 250."""
+    cols = ["--cols", "exact,lev_lower,lev_upper,hr_lower,hr_upper,ch_upper,new_lower,new_upper"]
+    requests = (
+        (
+            ["--q", "2", "--n", "600", "--r", "600", "--t", "0..600"],
+            "656f811e1757f919483c3f63626c0f9bf9f77b1578c5d7b11bffbe801458ec5a",
+        ),
+        (
+            ["--q", "5", "--n", "600", "--r", "37", "--t", "0..600", "--format", "json"],
+            "737dd26bd5bbdd09e487e45520f9de5c9e609d037c6dc137ba16098984761692",
+        ),
+        (
+            ["--q", "4", "--n", "900", "--r", "50", "--t", "250..400"],
+            "7c0166be9b856dd770fdf1d72d363487d2f0a4b94d6d4eaf7cd46d4c4f72825a",
+        ),
+    )
+    for extra, digest in requests:
+        code, out, _ = run_cli(capsys, "sweep", *extra, *cols)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_bounds_and_sweep_at_large_n(capsys):
     # With r = n the balanced word cycles through the alphabet, so it attains
     # the Calabi-Hartnett maximum, which HR's upper bound equals by Hirschberg's
