@@ -31,13 +31,15 @@ does; only the Levenshtein pair is computed per t.  A report maps its
 requested t, in any order and with repeats, onto [min t, max t] once, so
 each column is one walk.  Reports and sweeps raise ValueError for any t
 outside [0, n].  A ``BoundReport`` is an immutable named tuple of the
-columns.
+columns; ``format_sweep`` writes a sweep's reports as CSV or JSON, and
+``json_chunks`` (which it and ``delball bounds`` use) writes JSON, piece by
+piece.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import COLUMN_ORDER
 from .binomials import binomial
@@ -169,6 +171,43 @@ class BoundReport(
     def csv_row(self, columns: Sequence[str]) -> str:
         """t plus the requested columns, comma-separated, counts in decimal."""
         return ",".join([str(self.t)] + [decimal(self.value(c)) for c in columns])
+
+
+def json_chunks(value: object, pad: str = "\n") -> Iterator[str]:
+    """``json.dumps(value, indent=2)`` in pieces, for what reports and sweeps
+    print: ints, strings that need no escaping (column names and decimal
+    counts), and dicts and lists of these.  A list may be an iterator, read
+    one item at a time, so a sweep's rows are formatted as they are written."""
+    if isinstance(value, (int, str)):
+        yield f'"{value}"' if isinstance(value, str) else str(value)
+        return
+    keyed, inner = isinstance(value, dict), pad + "  "
+    brackets = "{}" if keyed else "[]"
+    items = ((f'"{k}": ', v) for k, v in value.items()) if keyed else (("", v) for v in value)
+    sep = brackets[0] + inner
+    for key, item in items:
+        yield sep + key
+        yield from json_chunks(item, inner)
+        sep = "," + inner
+    yield pad + brackets[1] if sep[0] == "," else brackets
+
+
+def format_sweep(
+    q: int, n: int, r: int, t_lo: int, t_hi: int, columns: Sequence[str], fmt: str,
+    reports: Iterable[BoundReport],
+) -> Iterator[str]:
+    """The CSV or JSON text of a sweep's reports, in pieces: each row is
+    formatted when it is read, so the text is never held whole."""
+    if fmt == "csv":
+        yield "t," + ",".join(columns) + "\n"
+        for report in reports:
+            yield report.csv_row(columns) + "\n"
+        return
+    rows = ({"t": rep.t, **{c: decimal(rep.value(c)) for c in columns}} for rep in reports)
+    yield from json_chunks(
+        {"q": q, "n": n, "r": r, "t_range": [t_lo, t_hi], "columns": columns, "rows": rows}
+    )
+    yield "\n"
 
 
 def _reports(

@@ -12,7 +12,8 @@ index range), 4 output I/O error (stdout, also when closed at launch, or
 ``--out``).  Subcommands only parse, compute and print; ``main`` maps every
 failure to its code and one line on stderr (argparse's usage text for a
 usage error), which an unwritable stderr loses without changing the code.
-``--help`` writes to stdout under the same table.
+``--help`` writes to stdout under the same table.  ``bounds`` and
+``sweep`` compute all their reports before writing, then stream the text.
 
 Every launch is a fresh interpreter, so this module imports no layer at
 its top: each command loads the modules it runs on first use.  ``--help``
@@ -33,7 +34,7 @@ import argparse
 import os
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from . import COLUMN_ORDER, _EXPORTS
 
@@ -130,37 +131,28 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     report = _cli.sweep_reports(args.q, args.n, args.r, [args.deletions], args.exact)[0]
-    import json
+    from .bounds import json_chunks
 
-    print(json.dumps(report.to_json_dict(), indent=2))
+    print("".join(json_chunks(report.to_json_dict())))
     return EXIT_OK
+
+
+def sweep_chunks(
+    q: int, n: int, r: int, t_lo: int, t_hi: int, columns: Sequence[str], fmt: str
+) -> Iterator[str]:
+    """One sweep's CSV or JSON text in pieces, from reports computed before it returns."""
+    ordered = [c for c in COLUMN_ORDER if c in columns]
+    reports = _cli.sweep_reports(q, n, r, range(t_lo, t_hi + 1), with_exact="exact" in ordered)
+    from .bounds import format_sweep
+
+    return format_sweep(q, n, r, t_lo, t_hi, ordered, fmt, reports)
 
 
 def sweep_text(
     q: int, n: int, r: int, t_lo: int, t_hi: int, columns: Sequence[str], fmt: str
 ) -> str:
     """Deterministic CSV or JSON text for one sweep (rows in ascending t)."""
-    ordered = [c for c in COLUMN_ORDER if c in columns]
-    reports = _cli.sweep_reports(q, n, r, range(t_lo, t_hi + 1), with_exact="exact" in ordered)
-    if fmt == "csv":
-        lines = ["t," + ",".join(ordered)]
-        lines.extend(rep.csv_row(ordered) for rep in reports)
-        return "\n".join(lines) + "\n"
-    import json
-
-    from .words import decimal
-
-    payload = {
-        "q": q,
-        "n": n,
-        "r": r,
-        "t_range": [t_lo, t_hi],
-        "columns": ordered,
-        "rows": [
-            {"t": rep.t, **{c: decimal(rep.value(c)) for c in ordered}} for rep in reports
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return "".join(sweep_chunks(q, n, r, t_lo, t_hi, columns, fmt))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -171,12 +163,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     unknown = [c for c in columns if c not in COLUMN_ORDER]
     if unknown:
         raise ValueError(f"unknown columns {unknown}; choose from {list(COLUMN_ORDER)}")
-    text = sweep_text(args.q, args.n, args.r, t_lo, t_hi, columns, args.format)
+    chunks = sweep_chunks(args.q, args.n, args.r, t_lo, t_hi, columns, args.format)
     if args.out == "-":
-        print(text, end="")
+        sys.stdout.writelines(chunks)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     return EXIT_OK
 
 

@@ -7,8 +7,10 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delball import bounds
+from delball import COLUMN_ORDER, bounds
 from delball.balanced import BalancedBallCalculator, ball_closed, composition_count
 from delball.binomials import binomial
 from delball.bounds import (
@@ -16,6 +18,7 @@ from delball.bounds import (
     _calabi_hartnett_column,
     _hr_lower_column,
     calabi_hartnett_max,
+    json_chunks,
     levenshtein_bounds,
     report_for_word,
     sweep_reports,
@@ -282,6 +285,42 @@ def test_report_formats_counts_past_the_digit_limit():
             rebuilt = rebuilt * 10 ** len(chunk) + int(chunk)
         assert rebuilt == value
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+COUNTS = st.integers(min_value=-(10**40), max_value=10**40)  # negative too, as reports allow
+REPORTS = st.builds(BoundReport, *[st.integers(0, 10**6)] * 4, *[COUNTS] * 7, exact=st.none() | COUNTS)
+
+
+@st.composite
+def sweep_payloads(draw):
+    """A sweep's JSON payload: random columns, t range and decimal counts."""
+    columns = draw(st.lists(st.sampled_from(COLUMN_ORDER), min_size=1, unique=True))
+    t_lo = draw(st.integers(0, 50))
+    t_hi = draw(st.integers(t_lo, t_lo + 4))
+    rows = [{"t": t, **{c: decimal(draw(COUNTS)) for c in columns}} for t in range(t_lo, t_hi + 1)]
+    q, n, r = draw(st.integers(2, 9)), draw(st.integers(t_hi, 99)), draw(st.integers(1, 99))
+    return {"q": q, "n": n, "r": r, "t_range": [t_lo, t_hi], "columns": columns, "rows": rows}
+
+
+JSON_VALUES = st.one_of(
+    REPORTS.map(BoundReport.to_json_dict),
+    sweep_payloads(),
+    st.lists(st.integers() | st.sampled_from(COLUMN_ORDER) | COUNTS.map(decimal)),
+    st.just({}),
+    st.just({"t_range": [], "columns": [], "rows": []}),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+def test_json_chunks_match_json_dumps(value):
+    want = json.dumps(value, indent=2)
+    assert "".join(json_chunks(value)) == want
+    # Lists may be iterators, read as they are written.
+    if isinstance(value, list):
+        assert "".join(json_chunks(iter(value))) == want
+    if isinstance(value, dict) and "rows" in value:
+        assert "".join(json_chunks({**value, "rows": iter(value["rows"])})) == want
 
 
 def test_sweep_reports_share_exact_column():

@@ -9,10 +9,12 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delball
-from delball import cli, exact, oracles
-from delball.bounds import calabi_hartnett_max
+from delball import COLUMN_ORDER, cli, exact, oracles
+from delball.bounds import calabi_hartnett_max, sweep_reports
 from delball.cli import main
 from delball.exact import ball_size
 from delball.oracles import canonical_ball_size
@@ -208,6 +210,42 @@ def test_sweep_input_errors(capsys):
     )
     assert code == 0
     assert out == "t,exact\n0,1\n1,2\n"
+
+
+def test_sweep_bad_request_leaves_out_path_uncreated(capsys, tmp_path):
+    # The reports are computed before --out is opened, so no request error
+    # leaves an empty or partial file behind.
+    target = tmp_path / "rows.csv"
+    base = ["sweep", "--q", "2", "--n", "6", "--r", "2", "--out", str(target)]
+    for extra, message in (
+        (["--t", "0..7"], "outside [0, n=6]"),
+        (["--t", "0..3", "--cols", "new_upper,bogus"], "unknown columns ['bogus']"),
+        (["--t", "0-3"], 't range must look like "a..b"'),
+    ):
+        code, out, err = run_cli(capsys, *base, *extra)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert not target.exists()
+
+
+@st.composite
+def sweep_requests(draw):
+    n = draw(st.integers(1, 24))
+    r = draw(st.integers(1, n))
+    t_lo = draw(st.integers(0, n))
+    columns = draw(st.lists(st.sampled_from(COLUMN_ORDER), min_size=1, unique=True))
+    return draw(st.integers(2, 5)), n, r, t_lo, draw(st.integers(t_lo, n)), columns
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sweep_requests())
+def test_sweep_json_is_json_dumps_of_its_payload(request):
+    q, n, r, t_lo, t_hi, columns = request
+    ordered = [c for c in COLUMN_ORDER if c in columns]
+    reports = sweep_reports(q, n, r, list(range(t_lo, t_hi + 1)), with_exact="exact" in columns)
+    rows = [{"t": rep.t, **{c: str(rep.value(c)) for c in ordered}} for rep in reports]
+    payload = {"q": q, "n": n, "r": r, "t_range": [t_lo, t_hi], "columns": ordered, "rows": rows}
+    assert cli.sweep_text(*request, "json") == json.dumps(payload, indent=2) + "\n"
 
 
 def test_sweep_n120_outputs_pinned(capsys):
@@ -444,43 +482,58 @@ LAUNCH_MODULES = (
 )
 
 
+def src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(delball.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def launched_modules(*argv, package="delball", **options):
+    """Exit code of `python -m delball argv`, run by runpy, and the sorted
+    modules of ``package`` loaded when it exits (its last stderr line)."""
+    script = (
+        "import atexit, runpy, sys; "
+        f"atexit.register(lambda: print(*sorted(m for m in sys.modules if m.split('.')[0] == {package!r}), "
+        "file=sys.stderr)); "
+        "runpy.run_module('delball', run_name='__main__', alter_sys=True)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=src_env(), capture_output=True, text=True, timeout=60,
+        **options,
+    )
+    return result.returncode, result.stderr.splitlines()[-1].split()
+
+
 def test_cli_import_footprint():
     # A command-line launch should not load the oracles, the test suites or
     # dataclasses (which pulls in inspect, ast and dis) before it needs them.
-    src = str(Path(delball.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = (
         "import sys, delball.cli; "
         "print(' '.join(m for m in ('dataclasses', 'inspect', 'delball.balanced', 'delball.selftest') "
         "if m in sys.modules))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
 
-    # Each launch loads only the layers its command runs: `python -m delball`
-    # run by runpy, with the loaded delball modules as the last stderr line.
-    script = (
-        "import atexit, runpy, sys; "
-        "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.split('.')[0] == 'delball'), "
-        "file=sys.stderr)); "
-        "runpy.run_module('delball', run_name='__main__', alter_sys=True)"
-    )
-
-    def launched(*argv, **options):
-        result = subprocess.run(
-            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60,
-            **options,
-        )
-        return result.returncode, result.stderr.splitlines()[-1].split()
-
+    # Each launch loads only the layers its command runs.
     for argv, code, layers in LAUNCH_MODULES:
         modules = sorted(["delball", "delball.cli", *(f"delball.{m}" for m in layers)])
-        assert launched(*argv) == (code, modules), argv
+        assert launched_modules(*argv) == (code, modules), argv
     # main's except clauses, down to OSError, load no layer either.
-    assert launched("--help", preexec_fn=lambda: os.close(1)) == (4, ["delball", "delball.cli"])
+    assert launched_modules("--help", preexec_fn=lambda: os.close(1)) == (4, ["delball", "delball.cli"])
+
+
+def test_bounds_and_sweep_launches_load_no_json():
+    # Reports and sweeps are written by bounds.json_chunks, not the json module.
+    for argv in (
+        ("bounds", "--q", "3", "--n", "12", "--r", "4", "-t", "2"),
+        ("bounds", "--q", "3", "--n", "12", "--r", "4", "-t", "2", "--exact"),
+        ("sweep", "--q", "3", "--n", "12", "--r", "4", "--t", "0..2", "--format", "json"),
+    ):
+        assert launched_modules(*argv, package="json") == (0, []), argv
 
 
 # Each layer entry point that callers (the traced benchmark runner among
@@ -516,14 +569,12 @@ def test_setattr_on_cli_intercepts_command(capsys, monkeypatch, name, argv):
 
 def test_oracles_import_without_dataclasses():
     # The value classes of the oracles and the suites are named tuples too.
-    src = str(Path(delball.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = (
         "import sys, delball.balanced, delball.selftest; "
         "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
@@ -600,6 +651,23 @@ def test_stdout_pipe_closed_before_launch_exit_4():
         finally:
             os.close(write_end)
         assert_one_line(result, 4, "cannot write output")
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_reader_closing_mid_stream_exit_4(fmt):
+    # 387 kB of CSV or 492 kB of JSON, far past a pipe's buffer: the reader
+    # takes one line and closes its end while the sweep is still writing.
+    argv = ["sweep", "--q", "2", "--n", "600", "--r", "600", "--t", "0..600", "--format", fmt]
+    env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen(
+        [sys.executable, "-m", "delball", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    ) as child:
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert_one_line(subprocess.CompletedProcess(argv, code, None, err), 4, "cannot write output")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/full is Linux-only")
