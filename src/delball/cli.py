@@ -6,20 +6,20 @@ Subcommands: ``count`` (exact ball sizes), ``bounds`` (one JSON report),
 strings everywhere, whatever their number of digits; they overflow 64-bit
 integers long before the interesting parameter ranges.
 
-Exit codes: 0 success, 2 input error, 3 enumeration budget refusal or a
-request too large for this machine (out of memory, or a size past its
-index range), 4 output I/O error (stdout, also when closed at launch, or
-``--out``).  Subcommands only parse, compute and print; ``main`` maps every
-failure to its code and one line on stderr (argparse's usage text for a
-usage error), which an unwritable stderr loses without changing the code.
-``--help`` writes to stdout under the same table.  ``bounds`` and
-``sweep`` compute all their reports before writing, then stream the text.
+Exit codes: 0 success, 2 input error, 3 a request too large for this
+machine (out of memory, or a size past its index range) or a ``selftest``
+refused by the enumeration budget, 4 output I/O error (stdout, also when
+closed at launch, or ``--out``).  Subcommands only parse, compute and
+print; ``main`` maps every failure to its code and one line on stderr
+(argparse's usage text for a usage error), which an unwritable stderr
+loses without changing the code.  ``--help`` writes to stdout under the
+same table.  ``bounds`` and ``sweep`` compute all their reports before
+writing, then stream the text.
 
 Every launch is a fresh interpreter, so this module imports no layer at
 its top: each command loads the modules it runs on first use.  ``--help``
 and a usage error load no delball module but this one and the package;
-``count`` adds ``words`` and ``exact`` (``split`` only when it forks),
-or ``words`` and ``oracles`` with ``--method canonical|enumerate``;
+``count`` adds ``words`` and ``exact`` (``split`` only when it forks);
 ``chain`` adds ``words``, ``exact`` and ``ops``; ``bounds`` and ``sweep``
 add ``words``, ``exact``, ``binomials`` and ``bounds``.  The commands
 call the package exports they use (such as ``ball_size``) as attributes
@@ -94,12 +94,6 @@ def _fail(message: str, code: int, prefix: str = "delball: ") -> int:
     return code
 
 
-def _word_from_args(args: argparse.Namespace) -> Word | RunProfile:
-    if args.word is not None:
-        return _cli.parse_word(args.word, args.q)
-    return _cli.parse_run_profile(args.runs, args.q)
-
-
 def _parse_t_range(text: str) -> tuple[int, int]:
     match = re.fullmatch(r"\s*([+-]?\d+)\s*\.\.\s*([+-]?\d+)\s*", text)
     if match is None or int(match[1]) > int(match[2]):
@@ -110,22 +104,12 @@ def _parse_t_range(text: str) -> tuple[int, int]:
 def cmd_count(args: argparse.Namespace) -> int:
     from .words import check_deletions, decimal
 
-    t = args.deletions
-    word = _word_from_args(args)
-    check_deletions(len(word), (t,))
-    if args.method == "enumerate":
-        value = len(_cli.enumerate_ball(word, t))
-    elif args.method == "canonical":
-        profile = _cli.encode_runs(word)
-        if profile != _cli.canonical_profile(profile.lengths, word.alphabet_size):
-            raise ValueError(
-                "canonical method needs run symbols 0, 1, ... cycling mod min(r, q); "
-                "use --method dp for arbitrary words"
-            )
-        value = _cli.canonical_ball_size(profile.lengths, word.alphabet_size, t)
-    else:  # auto and dp both run the DP
-        value = _cli.ball_size(word, t)
-    print(decimal(value))
+    if args.word is not None:
+        word = _cli.parse_word(args.word, args.q)
+    else:
+        word = _cli.parse_run_profile(args.runs, args.q)
+    check_deletions(len(word), (args.deletions,))
+    print(decimal(_cli.ball_size(word, args.deletions)))
     return EXIT_OK
 
 
@@ -233,13 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--runs", help='run profile "x1,x2,...;a1,a2,..."')
     p.add_argument("--q", type=int, default=None, help="alphabet size (default: max symbol + 1)")
     p.add_argument("-t", "--deletions", type=int, required=True)
-    p.add_argument(
-        "--method",
-        choices=("auto", "enumerate", "dp", "canonical"),
-        default="auto",
-        help="auto/dp: dynamic program; enumerate: materialize the ball; "
-        "canonical: run-peeling recurrence (canonical words only)",
-    )
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("bounds", help="JSON bound report for (q, n, r, t)")

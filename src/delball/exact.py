@@ -23,13 +23,15 @@ embedding, so with L = n - t
 with g_a = row_P - (P's row before its last a), or row_P if a is not in P,
 and s'_a the row of reversed S before its last a, which counts the
 subsequences of S that start with a (0 if a is not in S).  Two routes use
-it.  One ``ball_size`` predicted to visit at least SPLIT_MIN_CELLS DP
-cells runs on two cores, cut at the run that halves the prediction: the
-module ``split`` folds P in this process and reversed S in a forked child
-at the same time.  The split is taken only on Linux with os.fork, two CPUs
-in the affinity mask and no second live thread; otherwise, and below the
-cell threshold, the plain single-pass DP runs.  ``ball_size_all`` never
-splits.  The other route is the balancing chain, ``ops._ball_sizes``.
+it.  One ``ball_size`` whose predicted DP cells, cut at the run that
+halves them, leave the child more work than the fork and the join cost
+(``_split_pays``) runs on two cores: the module ``split`` folds P in this
+process and reversed S in a forked child at the same time.  The split is
+taken only on Linux with os.fork, two CPUs in the affinity mask and no
+second live thread; otherwise, and where it does not pay, the plain
+single-pass DP runs.  ``ball_size_all`` never splits, and holds
+snapshots only of the symbols still to come.  The other route is the
+balancing chain, ``ops._ball_sizes``.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ from .words import RunProfile, Word, encode_runs
 # 50,000 cells (15 ms of DP) on a 2-vCPU host; a step of the 44-step chain
 # of a 480-symbol word predicts under 3,000.
 SPLIT_MIN_CELLS = 100_000
+# One product of _join, its factor piped from the child, costs 2 to 7 DP
+# cells at n = 2,048 on that host (about 1 us against 0.25) and 12 at
+# n = 4,000.  3 keeps every count-random and count-runs-m8 benchmark word
+# split; a permutation, with about as many products as cells, never is.
+JOIN_PRODUCT_CELLS = 3
 
 
 _State = tuple[int, int, list[int], dict[int, tuple[int, list[int]]]]
@@ -107,19 +114,24 @@ def _run_update(
     return new_lo, new, snapshot
 
 
-def _fold(runs, n: int, shortest: int, longest: int, state: _State = _START) -> _State:
+def _fold(runs, n: int, shortest: int, longest: int, state: _State = _START, last=None) -> _State:
     """The state after the (length, symbol) pairs ``runs``, read from ``state``
     (the empty prefix by default); one ``_run_update`` per run.
 
     ``state`` is left intact: its snapshot map is copied once (O(distinct
     symbols)) and the copy is updated in place, and the new state shares
     older rows with it.  A copy per run would make a word over many
-    distinct symbols quadratic.
+    distinct symbols quadratic.  ``last`` maps each symbol to the index of
+    its last run in ``runs``, where its snapshot is dropped; only
+    ``ball_size_all``, which reads just the row and never ``_join``s,
+    passes it.
     """
     i, lo, row, snapshots = state
     snapshots = dict(snapshots)
-    for x, a in runs:
+    for j, (x, a) in enumerate(runs):
         lo, row, snapshots[a] = _run_update((i, lo, row, snapshots), x, a, n, shortest, longest)
+        if last is not None and last[a] == j:
+            del snapshots[a]
         i += x
     return i, lo, row, snapshots
 
@@ -162,13 +174,13 @@ def _join(prefix_state: _State, suffix_snapshots, n: int, length: int) -> int:
 
 def ball_size(word: Word | RunProfile, t: int) -> int:
     """|ball(word, t)| by dynamic programming; 0 outside 0 <= t <= n.  A DP
-    of at least SPLIT_MIN_CELLS cells splits as the module docstring says."""
+    for which ``_split_pays`` splits as the module docstring says."""
     n = len(word)
     if t < 0 or t > n:
         return 0
     profile = encode_runs(word)
     cells, cut = _split_plan(profile, n - t)
-    if cells >= SPLIT_MIN_CELLS:
+    if _split_pays(profile, n - t, cells, cut):
         from . import split  # loaded only by counts this large
 
         if split.second_core_free():
@@ -187,6 +199,14 @@ def _split_plan(profile: RunProfile, length: int) -> tuple[int, int]:
     return cells[-1], bisect_left(cells, cells[-1] // 2)
 
 
+def _split_pays(profile: RunProfile, length: int, cells: int, cut: int) -> bool:
+    """Whether the half of ``cells`` the child folds outweighs the fork and
+    ``_join``'s products: band width at the cut times the symbols after it."""
+    n, h = len(profile), sum(profile.lengths[:cut])
+    products = (min(h, length) - max(0, length - (n - h)) + 1) * len(set(profile.symbols[cut:]))
+    return cells // 2 >= SPLIT_MIN_CELLS // 2 + JOIN_PRODUCT_CELLS * products
+
+
 def ball_size_all(word: Word | RunProfile, t_min: int = 0, t_max: int | None = None) -> list[int]:
     """Ball sizes for t = t_min..t_max (default every t in [0, n]), in one DP pass.
 
@@ -199,7 +219,8 @@ def ball_size_all(word: Word | RunProfile, t_min: int = 0, t_max: int | None = N
     if not 0 <= t_min <= t_max <= n:
         raise ValueError(f"need 0 <= t_min <= t_max <= n={n}, got t_min={t_min}, t_max={t_max}")
     lengths, symbols, _ = encode_runs(word)
-    return _fold(zip(lengths, symbols), n, n - t_max, n - t_min)[2][::-1]
+    last = {a: j for j, a in enumerate(symbols)}
+    return _fold(zip(lengths, symbols), n, n - t_max, n - t_min, last=last)[2][::-1]
 
 
 def __getattr__(name: str) -> object:

@@ -1,5 +1,5 @@
 """Deletion-ball oracles: routes independent of the DP in ``exact``, run
-by the tests, ``selftest`` and ``count --method enumerate|canonical``.
+by the tests and ``selftest`` against it; no command counts with them.
 
 * ``enumerate_ball`` materializes the ball.  Every candidate, a tuple of
   n - t symbols, is generated, so it refuses (budget guard) once the

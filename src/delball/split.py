@@ -1,7 +1,7 @@
 """One ball size on two cores: the subsequence DP split at a run boundary.
 
-``exact.ball_size`` loads this module only for a count whose DP it
-predicts to visit at least ``exact.SPLIT_MIN_CELLS`` cells, and splits it
+``exact.ball_size`` loads this module only for a count whose split
+``exact._split_pays`` prices as worth the fork and the join, and splits it
 only where ``second_core_free`` holds.  ``split_count`` runs
 ``exact._fold`` over the prefix here and over the reversed suffix in a
 forked child, which streams its snapshots back over a pipe, and joins the

@@ -17,7 +17,7 @@ from delball import COLUMN_ORDER, cli, exact, oracles
 from delball.bounds import calabi_hartnett_max, sweep_reports
 from delball.cli import main
 from delball.exact import ball_size
-from delball.oracles import canonical_ball_size
+from delball.oracles import canonical_ball_size, enumerate_ball
 from delball.words import encode_runs, parse_word
 
 
@@ -40,14 +40,14 @@ def test_count_runs_profile(capsys):
 
 
 def test_count_methods_agree(capsys):
-    # q = 2**63 + 1 and up are past a C ssize_t, which the canonical table must not size by.
+    # count runs the DP alone; the oracles answer through the library.  q =
+    # 2**63 + 1 and up are past a C ssize_t, which the canonical table must not size by.
     for text, q, t in (("011222", 3, 2), ("012", 2**63 + 1, 1), ("012", 2**64 + 1, 1)):
-        for method in ("auto", "dp", "enumerate", "canonical"):
-            code, out, _ = run_cli(
-                capsys, "count", "--word", text, "--q", str(q), "-t", str(t), "--method", method
-            )
-            assert code == 0
-            assert out.strip() == str(ball_size(parse_word(text, q), t))
+        code, out, _ = run_cli(capsys, "count", "--word", text, "--q", str(q), "-t", str(t))
+        word = parse_word(text, q)
+        assert code == 0
+        assert out.strip() == str(ball_size(word, t)) == str(len(enumerate_ball(word, t)))
+        assert out.strip() == str(canonical_ball_size(encode_runs(word).lengths, q, t))
 
 
 def test_count_t_outside_range_exit_2(capsys):
@@ -58,47 +58,12 @@ def test_count_t_outside_range_exit_2(capsys):
             assert err == f"delball: t={t} outside [0, n=3]\n"
         for t, want in ((0, "1"), (3, "1"), (1, "3")):
             assert run_cli(capsys, "count", *source, "-t", str(t))[:2] == (0, want + "\n")
-    code, _, err = run_cli(capsys, "count", "--word", "0101", "-t", "9", "--method", "enumerate")
-    assert (code, err) == (2, "delball: t=9 outside [0, n=4]\n")
 
 
 def test_count_parse_failure_exit_2(capsys):
     code, _, err = run_cli(capsys, "count", "--word", "01!", "-t", "1")
     assert code == 2
     assert "symbol" in err
-
-
-def test_count_budget_exhausted_exit_3(capsys, monkeypatch):
-    monkeypatch.setenv("DELBALL_ENUM_BUDGET", "10")
-    code, _, err = run_cli(
-        capsys, "count", "--word", "0101010101", "-t", "5", "--method", "enumerate"
-    )
-    assert code == 3
-    assert "budget" in err
-
-    for bad in ("abc", "0"):
-        monkeypatch.setenv("DELBALL_ENUM_BUDGET", bad)
-        code, out, err = run_cli(
-            capsys, "count", "--word", "0101", "-t", "1", "--method", "enumerate"
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("delball: DELBALL_ENUM_BUDGET") and err.count("\n") == 1
-
-
-def test_count_canonical_method(capsys):
-    code, out, _ = run_cli(
-        capsys, "count", "--word", "000000011233300000111111", "--q", "4", "-t", "7",
-        "--method", "canonical",
-    )
-    assert code == 0
-    assert out.strip() == str(canonical_ball_size((7, 2, 1, 3, 5, 6), 4, 7))
-
-    code, _, err = run_cli(
-        capsys, "count", "--word", "010", "--q", "3", "-t", "1", "--method", "canonical"
-    )
-    assert code == 2
-    assert "canonical" in err
 
 
 def test_bounds_json(capsys):
@@ -377,19 +342,6 @@ def test_narrow_sweep_at_n4000(capsys):
     )
 
 
-def test_count_canonical_at_3000_runs(capsys):
-    # The canonical peel once recursed once per run and overflowed the stack.
-    lengths = [1 + i % 2 for i in range(3000)]
-    runs = ",".join(map(str, lengths)) + ";" + ",".join(str(i % 3) for i in range(3000))
-    answers = []
-    for method in ("canonical", "dp"):
-        code, out, err = run_cli(capsys, "count", "--runs", runs, "--q", "3", "-t", "2", "--method", method)
-        assert (code, err) == (0, "")
-        answers.append(out)
-    assert answers[0] == answers[1]
-    assert int(answers[0]) > 3000
-
-
 def test_run_profiles_at_huge_n(capsys):
     # As words these requests hold 10^8 or 3 * 10^7 symbols; as runs each is
     # a few hundred DP operations.  canonical_ball_size costs O(runs * q * t)
@@ -474,8 +426,6 @@ LAUNCH_MODULES = (
     (("count", "--help"), 0, ()),
     (("count", "--word", "0101"), 2, ()),  # a usage error: -t is missing
     (("count", "--word", "0101", "-t", "1"), 0, ("exact", "words")),
-    (("count", "--runs", "2,2;0,1", "-t", "1", "--method", "canonical"), 0, ("oracles", "words")),
-    (("count", "--runs", "2,2;0,1", "-t", "1", "--method", "enumerate"), 0, ("oracles", "words")),
     (("chain", "--word", "0011", "-t", "1"), 0, ("exact", "ops", "words")),
     (("bounds", "--q", "3", "--n", "12", "--r", "4", "-t", "2"), 0, ("binomials", "bounds", "exact", "words")),
     (("sweep", "--q", "3", "--n", "12", "--r", "4", "--t", "0..2"), 0, ("binomials", "bounds", "exact", "words")),
@@ -682,9 +632,7 @@ def test_unwritable_stderr_keeps_exit_code(unbuffered):
             closed_fd = 2 if stderr_mode == "closed" else None
             how = {"stderr": stderr, "closed_fd": closed_fd, "unbuffered": unbuffered}
             bad_symbol = launch("count", "--word", "01!", "-t", "1", **how)
-            refused = launch(
-                "count", "--word", "0101010101", "-t", "5", "--method", "enumerate", budget=10, **how
-            )
+            refused = launch("selftest", "small", budget=10, **how)
             unwritable = launch("count", "--word", "0101", "-t", "1", stdout=full, **how)
         assert (bad_symbol.returncode, bad_symbol.stdout) == (2, ""), stderr_mode
         assert (refused.returncode, refused.stdout) == (3, ""), stderr_mode
@@ -722,40 +670,36 @@ def test_chain_t_outside_range_exit_2():
         assert_one_line(result, 2, f"t={t} outside [0, n=4]")
 
 
-def test_count_canonical_unary_alphabet():
-    # A one-run word is canonical at any q, q = 1 included.
-    result = launch("count", "--word", "000", "--q", "1", "-t", "1", "--method", "canonical")
-    assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
-
-
 def test_count_empty_word_as_processes():
     # The empty word's one subsequence, also at its inferred one-symbol alphabet.
     for source in (("--word", ""), ("--runs", ";")):
-        for method in ("auto", "dp", "enumerate", "canonical"):
-            for q in (("--q", "2"), ()):
-                result = launch("count", *source, *q, "-t", "0", "--method", method)
-                assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", ""), (method, q)
+        for q in (("--q", "2"), ()):
+            result = launch("count", *source, *q, "-t", "0")
+            assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", ""), q
 
 
-def test_count_enumerate_refused_at_any_size_exit_3():
-    # The guard bounds C(n, t) from below by 2**min(t, n - t) and never
-    # builds it: no digit-limit error, and no 600,000-digit number first.
-    for half in (10_000, 1_000_000):
-        n = 2 * half
-        started = time.perf_counter()
-        result = launch("count", "--runs", f"{half},{half};0,1", "-t", str(half), "--method", "enumerate")
-        assert time.perf_counter() - started < 10
-        assert result.stdout == ""
-        assert_one_line(result, 3, f"C({n}, {half}) candidates of {half} symbols exceed budget 2000000\n")
-
-
-def test_count_enumerate_refuses_long_candidates_exit_3():
-    # 20,000 candidates of 19,999 symbols: few candidates, each one long.
+def test_selftest_budget_exhausted_exit_3():
+    # Only selftest enumerates on the command line: a budget it exceeds is
+    # exit 3, a budget that is not a positive integer exit 2, each one line.
     started = time.perf_counter()
-    result = launch("count", "--runs", "20000;0", "-t", "1", "--method", "enumerate")
-    assert time.perf_counter() - started < 1
-    assert result.stdout == ""
-    assert_one_line(result, 3, "C(20000, 1) candidates of 19999 symbols exceed budget 2000000\n")
+    refused = launch("selftest", "small", budget=10)
+    assert time.perf_counter() - started < 10
+    assert refused.stdout == ""
+    assert_one_line(refused, 3, "C(8, 2) candidates of 6 symbols exceed budget 10\n")
+    for bad in ("abc", "0"):
+        result = launch("selftest", "small", budget=bad)
+        assert result.stdout == ""
+        assert_one_line(result, 2, "DELBALL_ENUM_BUDGET")
+
+
+def test_count_method_option_is_a_usage_error():
+    # count has one route, the DP: --method is gone from its help and its parser.
+    assert "--method" not in launch("count", "--help").stdout
+    result = launch("count", "--word", "0101", "-t", "1", "--method", "dp")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("usage: delball ")
+    assert result.stderr.endswith(": error: unrecognized arguments: --method dp\n")
+    assert "Traceback" not in result.stderr and result.stderr.count("\n") == 2
 
 
 def test_help_and_usage_errors_as_processes():

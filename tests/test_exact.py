@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from itertools import product
 from math import comb
 
@@ -90,12 +91,20 @@ def test_enumerate_ball_budget_matches_binomial(monkeypatch):
 
 
 def test_enumerate_ball_refuses_huge_requests_at_once(monkeypatch):
+    # The guard bounds C(n, t) from below by 2**min(t, n - t) and never
+    # builds it: no digit-limit error, and no 600,000-digit number first.
+    # The last request has few candidates, each one long.
     monkeypatch.delenv("DELBALL_ENUM_BUDGET", raising=False)
-    started = time.perf_counter()
-    with pytest.raises(EnumerationBudgetError) as refused:
-        enumerate_ball(RunProfile((10**6, 10**6), (0, 1), 2), 10**6)
-    assert time.perf_counter() - started < 1.0
-    assert str(refused.value) == "C(2000000, 1000000) candidates of 1000000 symbols exceed budget 2000000"
+    for profile, t, message in (
+        (RunProfile((10**6, 10**6), (0, 1), 2), 10**6, "C(2000000, 1000000) candidates of 1000000 symbols"),
+        (RunProfile((10**4, 10**4), (0, 1), 2), 10**4, "C(20000, 10000) candidates of 10000 symbols"),
+        (RunProfile((20_000,), (0,), 1), 1, "C(20000, 1) candidates of 19999 symbols"),
+    ):
+        started = time.perf_counter()
+        with pytest.raises(EnumerationBudgetError) as refused:
+            enumerate_ball(profile, t)
+        assert time.perf_counter() - started < 1.0
+        assert str(refused.value) == f"{message} exceed budget 2000000"
 
 
 def test_budget_env_override(monkeypatch):
@@ -145,6 +154,19 @@ def test_ball_size_all_matches_pointwise():
     for t_min, t_max in ((-1, 2), (3, 2), (0, 5)):
         with pytest.raises(ValueError, match=r"need 0 <= t_min <= t_max <= n=4"):
             ball_size_all(word, t_min, t_max)
+
+
+def test_ball_size_all_drops_dead_snapshots():
+    # A symbol's snapshot is read only by its later runs, so a permutation
+    # holds a few rows at once, not one per symbol read (37 MB at n = 1,200).
+    word = Word(tuple(range(1200)), 1200)
+    tracemalloc.start()
+    try:
+        assert ball_size_all(word, 600, 600) == [comb(1200, 600)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_dp_equals_enumeration_exhaustive_binary():
@@ -347,6 +369,11 @@ def test_large_count_takes_the_forked_split(monkeypatch, forks):
     chain_profile = canonical_profile((20,) * 24, 4)
     assert _split_plan(chain_profile, 240)[0] < SPLIT_MIN_CELLS // 10
     ball_size(chain_profile, 240)
+    # Nor does a permutation: its join would multiply about as often as its
+    # DP adds, so one core is faster.  Its subsequences are all distinct.
+    permutation = Word(tuple(range(1200)), 1200)
+    assert _split_plan(encode_runs(permutation), 600)[0] >= SPLIT_MIN_CELLS
+    assert ball_size(permutation, 600) == comb(1200, 600)
     assert len(forks) == 3
 
 
@@ -556,12 +583,22 @@ def test_chain_reruns_only_changed_runs(monkeypatch):
 
 
 def test_canonical_ball_size_table_rows():
+    assert canonical_ball_size((7, 2, 1, 3, 5, 6), 4, 7) == 378
+    assert ball_size(parse_word("000000011233300000111111"), 7) == 378
     assert canonical_ball_size((6, 3, 1, 4, 4, 6), 3, 7) == 434
     assert canonical_ball_size((4, 3, 3, 4, 5, 5), 3, 7) == 625
     assert canonical_ball_size((7,), 4, 0) == 1
     assert canonical_ball_size((), 3, 0) == 1
     # An alphabet past a C ssize_t: the table keeps min(r, q) - 1 columns.
     assert canonical_ball_size((1, 1, 1), 2**64, 1) == 3
+
+
+def test_canonical_ball_size_at_3000_runs():
+    # The canonical peel once recursed once per run and overflowed the stack.
+    lengths = [1 + i % 2 for i in range(3000)]
+    size = canonical_ball_size(lengths, 3, 2)
+    assert size == ball_size(canonical_profile(lengths, 3), 2)
+    assert size > 3000
 
 
 def test_canonical_ball_size_validation():
