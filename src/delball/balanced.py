@@ -33,9 +33,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable
-from math import factorial
-
-from .binomials import binomial
+from math import comb, factorial
 
 _Memo = dict[tuple[int, int], int]  # (runs, deletions) -> ball size
 
@@ -69,7 +67,7 @@ def composition_count(parts: int, total: int, k: int) -> int:
         return 1 if total == 0 else 0
     acc = 0
     for i in range(total // k + 1):
-        term = binomial(parts, i) * binomial(parts + total - i * k - 1, parts - 1)
+        term = comb(parts, i) * comb(parts + total - i * k - 1, parts - 1)
         acc += -term if i % 2 else term
     return acc
 
@@ -165,7 +163,7 @@ def _profile_sequence_count(k: int, profile: StepProfile, cycles: int) -> int:
     """
     zs = [z for z, _ in profile.pairs]
     x = sum(zs)
-    count = binomial(cycles + x, cycles) * factorial(x)
+    count = comb(cycles + x, cycles) * factorial(x)
     for z in zs:
         count //= factorial(z)
     for i, (z, v) in enumerate(profile.pairs, start=1):

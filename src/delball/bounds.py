@@ -22,27 +22,26 @@ The last two are computed exactly, not from further closed forms: one DP
 pass on each witness's run profile, keeping only the band of lengths from
 n - t_hi to n - t_lo, at a cost that depends on r and t, not on n (the
 balanced word's closed form stays in ``balanced`` as an oracle).  The
-Calabi-Hartnett and Hirschberg-Regnier lower columns are each one walk up
-t, at a cost that depends on t, not on n.
+Levenshtein pair and the Calabi-Hartnett and Hirschberg-Regnier lower
+columns are each one walk up t, at a cost that depends on t, not on n.
 
 Every column producer takes (..., t_lo, t_hi) and returns the
 t_hi - t_lo + 1 values for t = t_lo..t_hi, as ``exact.ball_size_all``
-does; only the Levenshtein pair is computed per t.  A report maps its
-requested t, in any order and with repeats, onto [min t, max t] once, so
-each column is one walk.  Reports and sweeps raise ValueError for any t
-outside [0, n].  A ``BoundReport`` is an immutable named tuple of the
-columns; ``format_sweep`` writes a sweep's reports as CSV or JSON, and
-``json_chunks`` (which it and ``delball bounds`` use) writes JSON, piece by
-piece.
+does.  A report maps its requested t, in any order and with repeats, onto
+[min t, max t] once, so each column is one walk.  Reports and sweeps raise
+ValueError for any t outside [0, n].  A ``BoundReport`` is an immutable
+named tuple of the columns; ``format_sweep`` writes a sweep's reports as
+CSV or JSON, and ``json_chunks`` (which it and ``delball bounds`` use)
+writes JSON, piece by piece.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
+from math import comb
 
 from . import COLUMN_ORDER
-from .binomials import binomial
 from .exact import ball_size_all
 from .words import (
     RunProfile,
@@ -63,9 +62,36 @@ def _check_params(q: int, n: int, r: int, t_values: Iterable[int] = ()) -> None:
     check_deletions(n, t_values)
 
 
+def _levenshtein_columns(r: int, t_lo: int, t_hi: int) -> tuple[list[int], list[int]]:
+    """C(r-t+1, t) and C(r+t-1, t) for t = t_lo..t_hi (r >= 1, t_lo >= 0),
+    in one walk up t.
+
+    From t to t + 1 the upper bound gains the factor (r + t) / (t + 1) and,
+    with m = r - t + 1, the lower one (m - t)(m - t - 1) / ((t + 1) m); it
+    vanishes once t > m and stays 0.  Each step costs O(1) big-integer
+    operations.
+    """
+    m = r - t_lo + 1
+    low, high = comb(m, t_lo) if t_lo <= m else 0, comb(r + t_lo - 1, t_lo)
+    lower, upper = [low], [high]
+    for t in range(t_lo, t_hi):
+        if low:
+            low = low * (m - t) * (m - t - 1) // ((t + 1) * m)
+        high = high * (r + t) // (t + 1)
+        m -= 1
+        lower.append(low)
+        upper.append(high)
+    return lower, upper
+
+
 def levenshtein_bounds(r: int, t: int) -> tuple[int, int]:
-    """(C(r-t+1, t), C(r+t-1, t)); out-of-range binomials vanish."""
-    return binomial(r - t + 1, t), binomial(r + t - 1, t)
+    """(C(r-t+1, t), C(r+t-1, t)), with out-of-range binomials 0; (0, 0) for t < 0."""
+    if r < 1:
+        raise ValueError(f"need 1 <= r, got r={r}")
+    if t < 0:
+        return 0, 0
+    lower, upper = _levenshtein_columns(r, t, t)
+    return lower[0], upper[0]
 
 
 def _calabi_hartnett_column(q: int, n: int, t_lo: int, t_hi: int) -> list[int]:
@@ -89,7 +115,7 @@ def _calabi_hartnett_column(q: int, n: int, t_lo: int, t_hi: int) -> list[int]:
     if q == 2:
         return _hr_lower_column(n, t_lo, t_hi)
     m = n - t_lo
-    b, c = binomial(n, m), 1  # C(n - jq, m) and C(m, j), from j = 0
+    b, c = comb(n, m), 1  # C(n - jq, m) and C(m, j), from j = 0
     terms = [b]
     for j in range(1, t_lo // q + 1):
         c = c * (m - j + 1) // j
@@ -102,7 +128,7 @@ def _calabi_hartnett_column(q: int, n: int, t_lo: int, t_hi: int) -> list[int]:
         m -= 1
         if t % q == 0:
             j = t // q
-            terms.append(-binomial(m, j) if j % 2 else binomial(m, j))
+            terms.append(-comb(m, j) if j % 2 else comb(m, j))
         column.append(sum(terms))
     return column
 
@@ -229,25 +255,13 @@ def _reports(
     new_upper = ball_size_all(canonical_profile((-(-n // r),) * r, q), t_lo, t_hi)
     ch_upper = _calabi_hartnett_column(q, n, t_lo, t_hi)
     hr_lower = _hr_lower_column(r, t_lo, t_hi)
+    # BoundReport's fields from lev_lower to new_upper, in order.
+    columns = (*_levenshtein_columns(r, t_lo, t_hi), hr_lower, ch_upper, ch_upper, new_lower, new_upper)
     reports = []
     for t in t_values:
         i = t - t_lo
-        lev_lower, lev_upper = levenshtein_bounds(r, t)
         exact_t = None if exact is None else exact[i]
-        report = BoundReport(
-            q=q,
-            n=n,
-            r=r,
-            t=t,
-            lev_lower=lev_lower,
-            lev_upper=lev_upper,
-            hr_lower=hr_lower[i],
-            hr_upper=ch_upper[i],
-            ch_upper=ch_upper[i],
-            new_lower=new_lower[i],
-            new_upper=new_upper[i],
-            exact=exact_t,
-        )
+        report = BoundReport(q, n, r, t, *(column[i] for column in columns), exact_t)
         if exact_t is not None:
             for low in (report.lev_lower, report.hr_lower, report.new_lower):
                 if low > exact_t:

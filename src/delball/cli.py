@@ -21,7 +21,7 @@ its top: each command loads the modules it runs on first use.  ``--help``
 and a usage error load no delball module but this one and the package;
 ``count`` adds ``words`` and ``exact`` (``split`` only when it forks);
 ``chain`` adds ``words``, ``exact`` and ``ops``; ``bounds`` and ``sweep``
-add ``words``, ``exact``, ``binomials`` and ``bounds``.  The commands
+add ``words``, ``exact`` and ``bounds``.  The commands
 call the package exports they use (such as ``ball_size``) as attributes
 of this module, which the module ``__getattr__`` resolves through the
 package's lazy table, so a ``setattr`` on the module replaces what a

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from delball import COLUMN_ORDER, bounds
 from delball.balanced import BalancedBallCalculator, ball_closed, composition_count
-from delball.binomials import binomial
 from delball.bounds import (
     BoundReport,
     _calabi_hartnett_column,
     _hr_lower_column,
+    _levenshtein_columns,
     calabi_hartnett_max,
     json_chunks,
     levenshtein_bounds,
@@ -28,11 +28,52 @@ from delball.oracles import canonical_ball_size, enumerate_ball
 from delball.words import Word, cyclic_word, decimal, encode_runs, parse_word, unbalanced_profile
 
 
+def binomial(a: int, b: int) -> int:
+    """C(a, b), with out-of-range arguments giving 0, as the bound formulas read."""
+    return comb(a, b) if 0 <= b <= a else 0
+
+
 def test_levenshtein_bounds_examples():
     assert levenshtein_bounds(2, 1) == (2, 2)
     assert levenshtein_bounds(6, 7) == (0, 792)
     for r in (1, 4, 9):
         assert levenshtein_bounds(r, 0) == (1, 1)
+        assert levenshtein_bounds(r, -1) == (0, 0)
+    # No word has fewer than one run: (1, 0) at r = 0 had its lower bound
+    # above its upper one.
+    for r, t in ((0, 0), (0, 3), (-2, 1), (0, -1)):
+        with pytest.raises(ValueError, match=rf"^need 1 <= r, got r={r}$"):
+            levenshtein_bounds(r, t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 80), st.integers(0, 170), st.integers(0, 170))
+def test_levenshtein_columns_match_binomials(r, t_lo, span):
+    # The walk against C(r-t+1, t) and C(r+t-1, t) written out per t, over
+    # ranges that run past t = r + 1 and may start past it.
+    t_hi = t_lo + span
+    lower, upper = _levenshtein_columns(r, t_lo, t_hi)
+    ts = range(t_lo, t_hi + 1)
+    assert lower == [binomial(r - t + 1, t) for t in ts]
+    assert upper == [binomial(r + t - 1, t) for t in ts]
+    assert levenshtein_bounds(r, t_lo) == (lower[0], upper[0])
+
+
+def test_levenshtein_columns_edges():
+    for r in range(1, 81):
+        for t in (0, r // 2, r, r + 1, r + 2, 2 * r + 3):  # t_lo == t_hi
+            assert _levenshtein_columns(r, t, t) == ([binomial(r - t + 1, t)], [binomial(r + t - 1, t)])
+    assert _levenshtein_columns(4, 0, 7) == ([1, 4, 3, 0, 0, 0, 0, 0], [1, 4, 10, 20, 35, 56, 84, 120])
+    assert _levenshtein_columns(1, 3, 5) == ([0, 0, 0], [1, 1, 1])
+
+
+def test_levenshtein_columns_are_fast_at_large_r():
+    # Per t, with math.comb, r = 4000 alone took 3.5 s on a 2-vCPU host.
+    start = time.perf_counter()
+    lower, upper = _levenshtein_columns(10_000, 0, 10_000)
+    assert time.perf_counter() - start < 5
+    assert (lower[5000], lower[5001]) == (5001, 0)  # C(5001, 5000), then t > r - t + 1
+    assert upper[-1] == comb(19_999, 10_000)
 
 
 def test_calabi_hartnett_examples():
