@@ -85,10 +85,6 @@ class StepProfile(namedtuple("StepProfile", "pairs")):
 
 def _class_count_vectors(m: int, weighted: int, plain: int) -> list[tuple[int, ...]]:
     """Vectors (z_1..z_m) >= 0 with sum(i * z_i) = weighted and sum(z_i) = plain."""
-    if weighted < 0 or plain < 0:
-        return []
-    if m == 0:
-        return [()] if weighted == 0 and plain == 0 else []
     out: list[tuple[int, ...]] = []
 
     def rec(i: int, w_left: int, p_left: int, acc: tuple[int, ...]) -> None:
@@ -140,10 +136,7 @@ def _banded_sums(lows: list[int], highs: list[int], total: int) -> list[tuple[in
 
     def rec(i: int, left: int, acc: tuple[int, ...]) -> None:
         if i == m:
-            if left == 0:
-                out.append(acc)
-            return
-        if not suffix_lo[i] <= left <= suffix_hi[i]:
+            out.append(acc)
             return
         v_lo = max(lows[i], left - suffix_hi[i + 1])
         v_hi = min(highs[i], left - suffix_lo[i + 1])
@@ -295,8 +288,6 @@ class BalancedBallCalculator:
 
     def sequence_count(self, run_drop: int, del_drop: int) -> int:
         """Memoized sequence_count(q, k, run_drop, del_drop)."""
-        if run_drop < 0 or del_drop < 0:
-            return 0
         key = (run_drop, del_drop)
         cached = self._seq.get(key)
         if cached is not None:

@@ -237,15 +237,18 @@ def format_sweep(
 
 
 def _reports(
-    q: int, n: int, r: int, t_values: Sequence[int], exact_word: Word | RunProfile | None
+    q: int, n: int, r: int, t_values: Iterable[int], exact_word: Word | RunProfile | None
 ) -> list[BoundReport]:
     """Reports for each t in order; the exact column, if any, is exact_word's.
 
-    The request is checked before any DP.  Each column is computed once over
-    [t_lo, t_hi] = [min t, max t] and read at t - t_lo; the Calabi-Hartnett
-    column also gives hr_upper by Hirschberg's identity.  Raises
-    AssertionError if a bound contradicts the exact value.
+    t_values is read more than once, so an iterable that is not a sequence
+    is listed first.  The request is checked before any DP.  Each column is
+    computed once over [t_lo, t_hi] = [min t, max t] and read at t - t_lo;
+    the Calabi-Hartnett column also gives hr_upper by Hirschberg's
+    identity.  Raises AssertionError if a bound contradicts the exact value.
     """
+    if not isinstance(t_values, Sequence):
+        t_values = list(t_values)
     _check_params(q, n, r, t_values)
     if not t_values:
         return []
@@ -281,7 +284,7 @@ def report_for_word(word: Word, t: int) -> BoundReport:
 
 
 def sweep_reports(
-    q: int, n: int, r: int, t_values: Sequence[int], with_exact: bool = False
+    q: int, n: int, r: int, t_values: Iterable[int], with_exact: bool = False
 ) -> list[BoundReport]:
     """Reports for each t in order, every column computed once for all t.
 

@@ -3,9 +3,11 @@
 Every contract the library advertises is re-checked here against the
 exact DP / enumeration oracles: monotonicity of the word operations,
 the run-peeling identities, agreement of the balanced recursion, closed
-form and DP, the bound sandwich, and the balancing-chain contract.  The
+form and DP, the bound sandwich, and the balancing-chain contract.
+``SUITES`` lists each suite once, with its arguments at both scales.  The
 ``small`` scale finishes in well under a minute; ``full`` runs the same
-suites at acceptance scale and adds the large bound-comparison sweep.
+suites at acceptance scale and adds the split DP and the large
+bound-comparison sweep.  Each suite's PASS/FAIL line ends with its time.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ GOLDEN_CHAIN_ROWS: list[tuple[str, int]] = [
 GOLDEN_CHAIN_DELETIONS = 7
 
 
-class CheckResult(namedtuple("CheckResult", "name violations detail", defaults=("",))):
+class CheckResult(namedtuple("CheckResult", "name violations detail seconds", defaults=("", 0.0))):
     __slots__ = ()
 
     @property
@@ -439,43 +441,44 @@ def check_bound_comparison_ordering(q: int = 3, n: int = 120, r: int = 24) -> Ch
     return CheckResult("bound-comparison-ordering", violations, f"q={q} n={n} r={r}")
 
 
+# One row per suite, in the order ``run`` prints them: the check, its
+# keyword arguments at the small scale (None: the suite runs only at full
+# scale) and at the full scale.
+SUITES = (
+    (check_golden_chain_vectors, {}, {}),
+    (check_named_balanced_value, {}, {}),
+    (check_triple_agreement, dict(qs=(2, 3), rs=range(1, 6), ks=(1, 2, 3)), {}),
+    (
+        check_oracle_equivalence,
+        dict(trials=120, seed=101, exhaustive_n=6),
+        dict(trials=1000, seed=101, exhaustive_n=8),
+    ),
+    (check_monotone_ops, dict(trials=60, seed=102), dict(trials=300, seed=102)),
+    (check_reversal, dict(trials=60, seed=103), dict(trials=300, seed=103)),
+    (check_run_removal_identity, dict(trials=60, seed=104), dict(trials=300, seed=104)),
+    (check_balanced_peel_identities, dict(qs=(2, 3), ks=(1, 2), rs=range(1, 6)), {}),
+    (check_balance_step, dict(trials=60, seed=105), dict(trials=300, seed=105)),
+    (check_chain_contract, dict(trials=25, seed=106, max_n=18), dict(trials=100, seed=106)),
+    (check_chain_states, dict(trials=20, seed=109), dict(trials=12, seed=109, max_r=24, max_k=20)),
+    (check_sandwich, dict(trials=60, seed=107), dict(trials=300, seed=107)),
+    (check_cyclic_maximum, dict(max_n=9, qs=(2, 3)), {}),
+    (check_dp_split, None, dict(trials=40, seed=108)),
+    (check_bound_comparison_ordering, None, {}),
+)
+
+
 def suites_for_scale(scale: str) -> list[CheckResult]:
-    if scale == "small":
-        results = [
-            check_golden_chain_vectors(),
-            check_named_balanced_value(),
-            check_triple_agreement(qs=(2, 3), rs=range(1, 6), ks=(1, 2, 3)),
-            check_oracle_equivalence(trials=120, seed=101, exhaustive_n=6),
-            check_monotone_ops(trials=60, seed=102),
-            check_reversal(trials=60, seed=103),
-            check_run_removal_identity(trials=60, seed=104),
-            check_balanced_peel_identities(qs=(2, 3), ks=(1, 2), rs=range(1, 6)),
-            check_balance_step(trials=60, seed=105),
-            check_chain_contract(trials=25, seed=106, max_n=18),
-            check_chain_states(trials=20, seed=109),
-            check_sandwich(trials=60, seed=107),
-            check_cyclic_maximum(max_n=9, qs=(2, 3)),
-        ]
-    elif scale == "full":
-        results = [
-            check_golden_chain_vectors(),
-            check_named_balanced_value(),
-            check_triple_agreement(),
-            check_oracle_equivalence(trials=1000, seed=101, exhaustive_n=8),
-            check_monotone_ops(trials=300, seed=102),
-            check_reversal(trials=300, seed=103),
-            check_run_removal_identity(trials=300, seed=104),
-            check_balanced_peel_identities(),
-            check_balance_step(trials=300, seed=105),
-            check_chain_contract(trials=100, seed=106),
-            check_chain_states(trials=12, seed=109, max_r=24, max_k=20),
-            check_sandwich(trials=300, seed=107),
-            check_cyclic_maximum(),
-            check_dp_split(trials=40, seed=108),
-            check_bound_comparison_ordering(),
-        ]
-    else:
+    """Every suite of ``scale``, each result carrying its time, computed
+    before any is printed."""
+    if scale not in ("small", "full"):
         raise ValueError(f"unknown scale {scale!r}")
+    results = []
+    for check, small, full in SUITES:
+        kwargs = small if scale == "small" else full
+        if kwargs is not None:
+            started = time.perf_counter()
+            result = check(**kwargs)
+            results.append(result._replace(seconds=time.perf_counter() - started))
     return results
 
 
@@ -488,7 +491,7 @@ def run(scale: str = "small") -> int:
         if not result.passed:
             failures += 1
         detail = f" ({result.detail})" if result.detail else ""
-        print(f"{tag}  {result.name}{detail}")
+        print(f"{tag}  {result.name}{detail}  {result.seconds:.2f}s")
         for line in result.violations[:5]:
             print(f"      {line}")
         if len(result.violations) > 5:

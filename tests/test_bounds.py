@@ -211,6 +211,35 @@ def test_sweep_reports_take_t_in_any_order(monkeypatch):
         sweep_reports(3, 5, 6, [])
 
 
+def test_sweep_reports_read_one_shot_iterables_once():
+    # A generator or a set of t gives the reports of the equal list.
+    for ts in ([0, 1, 2], [4, 0, 4, 7]):
+        want = sweep_reports(3, 10, 4, ts, with_exact=True)
+        assert sweep_reports(3, 10, 4, (t for t in ts), with_exact=True) == want
+        as_set = set(ts)
+        assert sweep_reports(3, 10, 4, as_set) == sweep_reports(3, 10, 4, list(as_set))
+    assert sweep_reports(3, 10, 4, iter(())) == []
+    with pytest.raises(ValueError, match=r"^t=11 outside \[0, n=10\]$"):
+        sweep_reports(3, 10, 4, (t for t in (2, 11)))
+
+
+def test_report_raises_on_a_contradicted_bound(monkeypatch):
+    # A lower bound above the exact value, or an upper bound below it, is
+    # an AssertionError naming the bound.  q = 3: at q = 2 the CH column
+    # comes from the HR walk.
+    word = parse_word("012012")
+    report_for_word(word, 2)  # the true columns pass
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_hr_lower_column", lambda r, t_lo, t_hi: [10**9] * (t_hi - t_lo + 1))
+        lower = r"^lower bound 1000000000 exceeds exact \d+: .*hr_lower=1000000000,"
+        with pytest.raises(AssertionError, match=lower):
+            report_for_word(word, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_calabi_hartnett_column", lambda q, n, t_lo, t_hi: [0] * (t_hi - t_lo + 1))
+        with pytest.raises(AssertionError, match=r"^upper bound 0 below exact \d+: .*ch_upper=0,"):
+            report_for_word(word, 2)
+
+
 def test_unbalanced_lower_bound():
     # The new_lower column is the ball of 010111 whatever q is.
     for q in (2, 3, 4):

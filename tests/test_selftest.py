@@ -6,22 +6,33 @@ from delball import selftest
 def test_check_result_passed():
     assert selftest.CheckResult("x", []).passed
     assert not selftest.CheckResult("x", ["bad"]).passed
+    assert selftest.CheckResult("x", []).seconds == 0.0
 
 
 def test_run_reports_failures_nonzero(monkeypatch, capsys):
     def fake_suites(scale):
         return [
-            selftest.CheckResult("good", []),
-            selftest.CheckResult("bad", ["seeded arithmetic bug"]),
+            selftest.CheckResult("good", [], seconds=1.25),
+            selftest.CheckResult("bad", ["seeded arithmetic bug"], "3 trials", 0.5),
         ]
 
     monkeypatch.setattr(selftest, "suites_for_scale", fake_suites)
     code = selftest.run("small")
     out = capsys.readouterr().out
     assert code == 1
-    assert "PASS  good" in out
-    assert "FAIL  bad" in out
+    assert "PASS  good  1.25s\n" in out
+    assert "FAIL  bad (3 trials)  0.50s\n" in out
+    assert out.splitlines()[-1].startswith("FAILED: scale=small, ")
     assert "seeded arithmetic bug" in out
+
+
+def test_suite_table_lists_each_check_once():
+    # Read the table only; no suite runs.
+    listed = sorted(check.__name__ for check, _, _ in selftest.SUITES)
+    assert listed == sorted(name for name in dir(selftest) if name.startswith("check_"))
+    full_only = [check for check, small, _ in selftest.SUITES if small is None]
+    assert full_only == [selftest.check_dp_split, selftest.check_bound_comparison_ordering]
+    assert all(full is not None for _, _, full in selftest.SUITES)
 
 
 def test_unknown_scale_rejected():
