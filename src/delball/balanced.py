@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable
+from itertools import accumulate
 from math import comb, factorial
 
 _Memo = dict[tuple[int, int], int]  # (runs, deletions) -> ball size
@@ -85,18 +86,16 @@ class StepProfile(namedtuple("StepProfile", "pairs")):
 
 def _class_count_vectors(m: int, weighted: int, plain: int) -> list[tuple[int, ...]]:
     """Vectors (z_1..z_m) >= 0 with sum(i * z_i) = weighted and sum(z_i) = plain."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, w_left: int, p_left: int, acc: tuple[int, ...]) -> None:
-        if i == 1:
-            if w_left == p_left and w_left >= 0:
-                out.append((w_left,) + acc)
-            return
-        for z in range(min(w_left // i, p_left) + 1):
-            rec(i - 1, w_left - i * z, p_left - z, (z,) + acc)
-
-    rec(m, weighted, plain, ())
-    return out
+    # Set z_m, ..., z_2 one class per pass, carrying what is left of each sum;
+    # z_1 takes both rests, so they must be equal.
+    partial = [((), weighted, plain)]
+    for i in range(m, 1, -1):
+        partial = [
+            ((z,) + zs, w - i * z, p - z)
+            for zs, w, p in partial
+            for z in range(min(w // i, p) + 1)
+        ]
+    return [(w,) + zs for zs, w, p in partial if w == p]
 
 
 def enumerate_step_profiles(q: int, k: int, run_drop: int, del_drop: int) -> list[StepProfile]:
@@ -126,25 +125,18 @@ def enumerate_step_profiles(q: int, k: int, run_drop: int, del_drop: int) -> lis
 
 def _banded_sums(lows: list[int], highs: list[int], total: int) -> list[tuple[int, ...]]:
     """Vectors v with lows[i] <= v[i] <= highs[i] and sum(v) = total."""
-    m = len(lows)
-    suffix_lo = [0] * (m + 1)
-    suffix_hi = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix_lo[i] = suffix_lo[i + 1] + lows[i]
-        suffix_hi[i] = suffix_hi[i + 1] + highs[i]
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, left: int, acc: tuple[int, ...]) -> None:
-        if i == m:
-            out.append(acc)
-            return
-        v_lo = max(lows[i], left - suffix_hi[i + 1])
-        v_hi = min(highs[i], left - suffix_lo[i + 1])
-        for v in range(v_lo, v_hi + 1):
-            rec(i + 1, left - v, acc + (v,))
-
-    rec(0, total, ())
-    return out
+    # Set v[i] one band per pass, leaving a rest that the later bands, which
+    # sum to between rest_lo[i] and rest_hi[i], can still reach.
+    rest_lo = list(accumulate(reversed(lows), initial=0))[-2::-1]
+    rest_hi = list(accumulate(reversed(highs), initial=0))[-2::-1]
+    partial = [((), total)]
+    for lo, hi, below, above in zip(lows, highs, rest_lo, rest_hi):
+        partial = [
+            (vs + (v,), left - v)
+            for vs, left in partial
+            for v in range(max(lo, left - above), min(hi, left - below) + 1)
+        ]
+    return [vs for vs, _ in partial]
 
 
 def _profile_sequence_count(k: int, profile: StepProfile, cycles: int) -> int:

@@ -175,7 +175,7 @@ def parse_word(text: str, alphabet_size: int | None = None) -> Word:
 
 
 def parse_run_profile(text: str, alphabet_size: int | None = None) -> RunProfile:
-    """Parse "x1,x2,...;a1,a2,..."; infer q = max symbol + 1 if not given."""
+    """Parse "x1,x2,...;a1,a2,..."; infer q = max(symbols, 0) + 1 if not given."""
     if ";" not in text:
         raise ValueError('run profile text must look like "x1,x2,...;a1,a2,..."')
     length_part, _, symbol_part = text.partition(";")
@@ -192,7 +192,7 @@ def parse_run_profile(text: str, alphabet_size: int | None = None) -> RunProfile
     lengths = ints(length_part)
     symbols = ints(symbol_part)
     if alphabet_size is None:
-        alphabet_size = max(symbols, default=0) + 1
+        alphabet_size = max(0, max(symbols, default=0)) + 1
     return RunProfile(tuple(lengths), tuple(symbols), alphabet_size)
 
 

@@ -247,6 +247,13 @@ def test_recursion_depth_independent_of_run_count():
     assert tail == ball_size(balanced_tail_word(1500, 2, 3), 3)
 
 
+def test_profiles_at_a_large_alphabet():
+    # Both profile enumerators once went one stack frame deeper per class.
+    assert sequence_count(1500, 1, 3, 1) == 2 == brute_sequences(1500, 1, 3, 1)
+    only = StepProfile(((1, 0), (1, 1)) + ((0, 0),) * 1497)
+    assert enumerate_step_profiles(1500, 1, 3, 1) == [only]
+
+
 ROUTES = ("ball_recursive", "ball_closed", "tail_ball_recursive", "tail_ball_closed")
 
 

@@ -405,6 +405,28 @@ def test_chain_table(capsys):
     assert lines[-1].split()[1] == "000011112222333300001111"
 
 
+def test_chain_balls_equal_fresh_counts(capsys):
+    # The chain reuses DP states across its steps; each row's word, counted
+    # on its own, must give the same ball.  The word: 24 runs of 20 symbols
+    # after 72 random unit moves, over q = 4.
+    rng = random.Random(24)
+    lengths = [20] * 24
+    for _ in range(72):
+        j, k = rng.randrange(24), rng.randrange(24)
+        if lengths[j] > 1:
+            lengths[j] -= 1
+            lengths[k] += 1
+    symbols = [rng.randrange(4)]
+    while len(symbols) < 24:
+        symbols.append((symbols[-1] + rng.randrange(1, 4)) % 4)
+    word = "".join(str(a) * x for x, a in zip(lengths, symbols))
+    code, out, _ = run_cli(capsys, "chain", "--word", word, "--q", "4", "-t", "240")
+    rows = [line.split() for line in out.strip().split("\n")[1:]]
+    assert code == 0 and len(rows) == 47
+    for row in rows:
+        assert int(row[-1]) == ball_size(parse_word(row[1], 4), 240), row[0]
+
+
 def test_chain_rejects_indivisible_runs(capsys):
     code, _, err = run_cli(capsys, "chain", "--word", "00100", "-t", "1")
     assert code == 2
@@ -676,6 +698,13 @@ def test_count_empty_word_as_processes():
         for q in (("--q", "2"), ()):
             result = launch("count", *source, *q, "-t", "0")
             assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", ""), q
+
+
+def test_count_runs_with_only_negative_symbols_exit_2():
+    # The inferred alphabet keeps one symbol, so the refusal names the symbol.
+    result = launch("count", "--runs", "2,1;-1,-2", "-t", "0")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "delball: run symbol -1 outside [0, 1)\n"
 
 
 def test_selftest_budget_exhausted_exit_3():

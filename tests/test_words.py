@@ -139,6 +139,9 @@ def test_run_profile_text_round_trip():
         parse_run_profile("1,2,3")
     with pytest.raises(ValueError):
         parse_run_profile("1,x;0,1")
+    # An inferred alphabet has at least one symbol, so a negative one is named.
+    assert _message(lambda: parse_run_profile("1;-1")) == "run symbol -1 outside [0, 1)"
+    assert _message(lambda: parse_run_profile("2,1;-1,-2")) == "run symbol -1 outside [0, 1)"
 
 
 def _message(call) -> str:
