@@ -18,10 +18,11 @@ For a word with n symbols, r runs and alphabet q under t deletions:
 * Reduced-binary lower bound: |ball| >= ball of the binary word with r-1
   unit runs and one long run (relabel runs to binary, then unbalance).
 
-The last two are computed exactly, not from further closed forms: one DP
-pass on each witness's run profile, keeping only the band of lengths from
-n - t_hi to n - t_lo, at a cost that depends on r and t, not on n (the
-balanced word's closed form stays in ``balanced`` as an oracle).  The
+The last two are computed exactly, not from further closed forms: one
+``exact.ball_size_all`` count per witness's run profile over the band of
+lengths n - t_hi to n - t_lo (split across two cores at one t, as ``exact``
+says), at a cost that depends on r and t, not on n (the balanced word's
+closed form stays in ``balanced`` as an oracle).  The
 Levenshtein pair and the Calabi-Hartnett and Hirschberg-Regnier lower
 columns are each one walk up t, at a cost that depends on t, not on n.
 
@@ -290,8 +291,8 @@ def sweep_reports(
 
     The exact column, when requested, is that of the canonical word with
     r - 1 unit runs then one long run over alphabet q (for r = 1 and for
-    r = n the only run shape available), from a single DP pass over its
-    run profile.  For one t, take ``sweep_reports(q, n, r, [t])[0]``.
+    r = n the only run shape available), counted like the witnesses.  For
+    one t, take ``sweep_reports(q, n, r, [t])[0]``.
     """
     _check_params(q, n, r)  # before the exact witness is built
     return _reports(q, n, r, t_values, unbalanced_profile(n, r, q) if with_exact else None)

@@ -23,15 +23,15 @@ embedding, so with L = n - t
 with g_a = row_P - (P's row before its last a), or row_P if a is not in P,
 and s'_a the row of reversed S before its last a, which counts the
 subsequences of S that start with a (0 if a is not in S).  Two routes use
-it.  One ``ball_size`` whose predicted DP cells, cut at the run that
-halves them, leave the child more work than the fork and the join cost
-(``_split_pays``) runs on two cores: the module ``split`` folds P in this
-process and reversed S in a forked child at the same time.  The split is
-taken only on Linux with os.fork, two CPUs in the affinity mask and no
-second live thread; otherwise, and where it does not pay, the plain
-single-pass DP runs.  ``ball_size_all`` never splits, and holds
-snapshots only of the symbols still to come.  The other route is the
-balancing chain, ``ops._ball_sizes``.
+it.  A count at one t (``ball_size``, or ``ball_size_all`` with t_min =
+t_max) whose predicted DP cells, cut at the run that halves them, leave
+the child more work than the fork and the join cost (``_split_pays``)
+runs on two cores: the module ``split`` folds P in this process and
+reversed S in a forked child at the same time.  The split is taken only
+on Linux with os.fork, two CPUs in the affinity mask and no second live
+thread; otherwise, where it does not pay, and for a range of t, the
+single-pass DP runs, which holds snapshots only of the symbols still to
+come.  The other route is the balancing chain, ``ops._ball_sizes``.
 """
 
 from __future__ import annotations
@@ -173,19 +173,8 @@ def _join(prefix_state: _State, suffix_snapshots, n: int, length: int) -> int:
 
 
 def ball_size(word: Word | RunProfile, t: int) -> int:
-    """|ball(word, t)| by dynamic programming; 0 outside 0 <= t <= n.  A DP
-    for which ``_split_pays`` splits as the module docstring says."""
-    n = len(word)
-    if t < 0 or t > n:
-        return 0
-    profile = encode_runs(word)
-    cells, cut = _split_plan(profile, n - t)
-    if _split_pays(profile, n - t, cells, cut):
-        from . import split  # loaded only by counts this large
-
-        if split.second_core_free():
-            return split.split_count(profile, n - t, cut, fork=True)
-    return ball_size_all(profile, t, t)[0]
+    """|ball(word, t)| by dynamic programming; 0 outside 0 <= t <= n."""
+    return ball_size_all(word, t, t)[0] if 0 <= t <= len(word) else 0
 
 
 def _split_plan(profile: RunProfile, length: int) -> tuple[int, int]:
@@ -211,14 +200,22 @@ def ball_size_all(word: Word | RunProfile, t_min: int = 0, t_max: int | None = N
     """Ball sizes for t = t_min..t_max (default every t in [0, n]), in one DP pass.
 
     Entry i is the size at t = t_min + i.  Only the lengths n - t_max to
-    n - t_min are kept in the DP row.  Raises ValueError unless
-    0 <= t_min <= t_max <= n.
+    n - t_min are kept in the DP row; one t may split, as the module
+    docstring says.  Raises ValueError unless 0 <= t_min <= t_max <= n.
     """
     n = len(word)
     t_max = n if t_max is None else t_max
     if not 0 <= t_min <= t_max <= n:
         raise ValueError(f"need 0 <= t_min <= t_max <= n={n}, got t_min={t_min}, t_max={t_max}")
-    lengths, symbols, _ = encode_runs(word)
+    profile = encode_runs(word)
+    if t_min == t_max:
+        cells, cut = _split_plan(profile, n - t_min)
+        if _split_pays(profile, n - t_min, cells, cut):
+            from . import split  # loaded only by counts this large
+
+            if split.second_core_free():
+                return [split.split_count(profile, n - t_min, cut, fork=True)]
+    lengths, symbols, _ = profile
     last = {a: j for j, a in enumerate(symbols)}
     return _fold(zip(lengths, symbols), n, n - t_max, n - t_min, last=last)[2][::-1]
 

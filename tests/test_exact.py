@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delball import exact, oracles, split
-from delball.bounds import report_for_word
+from delball.bounds import report_for_word, sweep_reports
 from delball.exact import SPLIT_MIN_CELLS, _fold, _split_plan, ball_size, ball_size_all
 from delball.ops import _ball_sizes, balance_step, balancing_chain, cyclicize
 from delball.oracles import EnumerationBudgetError, canonical_ball_size, enumerate_ball, enumeration_budget
@@ -287,6 +287,12 @@ def split_words(draw):
     return Word(tuple(symbols), q)
 
 
+def plain(profile, t):
+    """The single-pass DP at one t, which never splits."""
+    n = len(profile)
+    return _fold(zip(profile.lengths, profile.symbols), n, n - t, n - t)[2][0]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(split_words())
 @example(Word((), 2))
@@ -297,7 +303,7 @@ def test_split_equals_plain_dp_property(word):
     profile = encode_runs(word)
     n = len(word)
     for t in range(n + 1):
-        expected = ball_size_all(profile, t, t)[0]
+        expected = plain(profile, t)
         for cut in range(profile.run_count + 1):
             assert split.split_count(profile, n - t, cut) == expected
 
@@ -325,10 +331,6 @@ def test_fold_from_a_start_state_property(word):
 def random_profile(seed, n=1100, q=3):
     rng = random.Random(seed)
     return encode_runs(Word(tuple(rng.randrange(q) for _ in range(n)), q))
-
-
-def plain(profile, t):
-    return ball_size_all(profile, t, t)[0]
 
 
 @pytest.fixture
@@ -375,6 +377,22 @@ def test_large_count_takes_the_forked_split(monkeypatch, forks):
     assert _split_plan(encode_runs(permutation), 600)[0] >= SPLIT_MIN_CELLS
     assert ball_size(permutation, 600) == comb(1200, 600)
     assert len(forks) == 3
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the split forks on Linux only")
+def test_one_length_report_takes_the_split_and_a_range_does_not(monkeypatch, forks):
+    # Each witness DP of a one-t report (exact, new_lower, new_upper)
+    # predicts about 151,500 cells, which _split_pays accepts; a range of t
+    # runs one pass per witness on one core.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    report = sweep_reports(3, 1100, 550, [550], with_exact=True)[0]
+    assert len(forks) == 3
+    assert sweep_reports(3, 1100, 550, [549, 550], with_exact=True)[1] == report
+    assert len(forks) == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert sweep_reports(3, 1100, 550, [550], with_exact=True)[0] == report
+    assert len(forks) == 3
+    assert_reaped(forks)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
