@@ -31,7 +31,7 @@ _EXPORTS = {
             "BalancedBallCalculator StepProfile ball_closed ball_recursive composition_count "
             "enumerate_step_profiles sequence_count step_alphabet",
         ),
-        ("bounds", "BoundReport calabi_hartnett_max levenshtein_bounds report_for_word sweep_reports"),
+        ("bounds", "BoundReport calabi_hartnett_max report_for_word sweep_reports"),
         ("exact", "ball_size ball_size_all"),
         ("oracles", "EnumerationBudgetError canonical_ball_size enumerate_ball"),
         (

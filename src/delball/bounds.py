@@ -26,14 +26,16 @@ closed form stays in ``balanced`` as an oracle).  The
 Levenshtein pair and the Calabi-Hartnett and Hirschberg-Regnier lower
 columns are each one walk up t, at a cost that depends on t, not on n.
 
-Every column producer takes (..., t_lo, t_hi) and returns the
-t_hi - t_lo + 1 values for t = t_lo..t_hi, as ``exact.ball_size_all``
-does.  A report maps its requested t, in any order and with repeats, onto
-[min t, max t] once, so each column is one walk.  Reports and sweeps raise
-ValueError for any t outside [0, n].  A ``BoundReport`` is an immutable
-named tuple of the columns; ``format_sweep`` writes a sweep's reports as
-CSV or JSON, and ``json_chunks`` (which it and ``delball bounds`` use)
-writes JSON, piece by piece.
+One table, ``_COLUMNS``, maps each column to its side of the sandwich
+check and its walk: a lambda of (q, n, r) giving (function, *arguments),
+where function(*arguments, t_lo, t_hi) returns the values for t = t_lo..t_hi
+(the Levenshtein walk returns both its columns; an index picks one).  A
+report runs each walk that its ``columns`` name once, over [min t, max t]
+of its t (in any order, with repeats); a column not named is None and is
+not checked.  Reports and sweeps raise ValueError for any t outside
+[0, n].  A ``BoundReport`` is an immutable named tuple of the columns;
+``format_sweep`` writes a sweep's reports as CSV or JSON, and
+``json_chunks`` (which it and ``delball bounds`` use) writes JSON.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from math import comb
 from . import COLUMN_ORDER
 from .exact import ball_size_all
 from .words import (
-    RunProfile,
     Word,
     canonical_profile,
     check_deletions,
@@ -53,14 +54,6 @@ from .words import (
     encode_runs,
     unbalanced_profile,
 )
-
-
-def _check_params(q: int, n: int, r: int, t_values: Iterable[int] = ()) -> None:
-    if q < 2:
-        raise ValueError("need q >= 2")
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    check_deletions(n, t_values)
 
 
 def _levenshtein_columns(r: int, t_lo: int, t_hi: int) -> tuple[list[int], list[int]]:
@@ -83,16 +76,6 @@ def _levenshtein_columns(r: int, t_lo: int, t_hi: int) -> tuple[list[int], list[
         lower.append(low)
         upper.append(high)
     return lower, upper
-
-
-def levenshtein_bounds(r: int, t: int) -> tuple[int, int]:
-    """(C(r-t+1, t), C(r+t-1, t)), with out-of-range binomials 0; (0, 0) for t < 0."""
-    if r < 1:
-        raise ValueError(f"need 1 <= r, got r={r}")
-    if t < 0:
-        return 0, 0
-    lower, upper = _levenshtein_columns(r, t, t)
-    return lower[0], upper[0]
 
 
 def _calabi_hartnett_column(q: int, n: int, t_lo: int, t_hi: int) -> list[int]:
@@ -138,7 +121,8 @@ def calabi_hartnett_max(q: int, n: int, t: int) -> int:
     """Largest ball size over all length-n words with alphabet q.
 
     Attained by any word cycling through all q symbols; 0 outside
-    0 <= t <= n.
+    0 <= t <= n.  Kept beside the reports for ``selftest``, and because
+    ``perfbench/traced_cli.py`` reads it with no guard on every traced run.
     """
     if q < 1:
         raise ValueError("need q >= 1")
@@ -167,16 +151,28 @@ def _hr_lower_column(r: int, t_lo: int, t_hi: int) -> list[int]:
     return (column + [0] * (t_hi - r))[t_lo:]
 
 
+_COLUMNS = {  # column: (side, walk[, index]); walks look their function up when run
+    "exact": ("exact", lambda q, n, r: (ball_size_all, unbalanced_profile(n, r, q))),
+    "lev_lower": ("lower", lambda q, n, r: (_levenshtein_columns, r), 0),
+    "lev_upper": ("upper", lambda q, n, r: (_levenshtein_columns, r), 1),
+    "hr_lower": ("lower", lambda q, n, r: (_hr_lower_column, r)),
+    "hr_upper": ("upper", lambda q, n, r: (_calabi_hartnett_column, q, n)),
+    "ch_upper": ("upper", lambda q, n, r: (_calabi_hartnett_column, q, n)),
+    "new_lower": ("lower", lambda q, n, r: (ball_size_all, unbalanced_profile(n, r, 2))),
+    "new_upper": ("upper", lambda q, n, r: (ball_size_all, canonical_profile((-(-n // r),) * r, q))),
+}
+
+
 class BoundReport(
     namedtuple(
         "BoundReport",
         "q n r t lev_lower lev_upper hr_lower hr_upper ch_upper new_lower new_upper exact",
-        defaults=(None,),
+        defaults=(None,) * len(COLUMN_ORDER),
     )
 ):
-    """Every bound (and optionally the exact value) for one word or parameter set.
+    """The requested bounds (and optionally the exact value) for one word or parameter set.
 
-    An immutable named tuple of ints; ``exact`` defaults to None.
+    An immutable named tuple of ints; a column not requested is None.
     """
 
     __slots__ = ()
@@ -237,62 +233,66 @@ def format_sweep(
     yield "\n"
 
 
-def _reports(
-    q: int, n: int, r: int, t_values: Iterable[int], exact_word: Word | RunProfile | None
-) -> list[BoundReport]:
-    """Reports for each t in order; the exact column, if any, is exact_word's.
+def _reports(q: int, n: int, r: int, t_values: Iterable[int], table: dict) -> list[BoundReport]:
+    """Reports for each t in order, holding the columns of ``table``, a part of _COLUMNS.
 
     t_values is read more than once, so an iterable that is not a sequence
-    is listed first.  The request is checked before any DP.  Each column is
-    computed once over [t_lo, t_hi] = [min t, max t] and read at t - t_lo;
-    the Calabi-Hartnett column also gives hr_upper by Hirschberg's
-    identity.  Raises AssertionError if a bound contradicts the exact value.
+    is listed first.  The request is checked before any DP.  Raises
+    AssertionError if a requested bound contradicts the exact value.
     """
     if not isinstance(t_values, Sequence):
         t_values = list(t_values)
-    _check_params(q, n, r, t_values)
+    if q < 2:
+        raise ValueError("need q >= 2")
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    check_deletions(n, t_values)
     if not t_values:
         return []
     t_lo, t_hi = min(t_values), max(t_values)
-    exact = None if exact_word is None else ball_size_all(exact_word, t_lo, t_hi)
-    new_lower = ball_size_all(unbalanced_profile(n, r, 2), t_lo, t_hi)
-    new_upper = ball_size_all(canonical_profile((-(-n // r),) * r, q), t_lo, t_hi)
-    ch_upper = _calabi_hartnett_column(q, n, t_lo, t_hi)
-    hr_lower = _hr_lower_column(r, t_lo, t_hi)
-    # BoundReport's fields from lev_lower to new_upper, in order.
-    columns = (*_levenshtein_columns(r, t_lo, t_hi), hr_lower, ch_upper, ch_upper, new_lower, new_upper)
+    walks, values = {}, {}
+    for column, (_, walk_of, *part) in table.items():
+        walk = walk_of(q, n, r)
+        if walk not in walks:
+            walks[walk] = walk[0](*walk[1:], t_lo, t_hi)
+        values[column] = walks[walk][part[0]] if part else walks[walk]
     reports = []
     for t in t_values:
-        i = t - t_lo
-        exact_t = None if exact is None else exact[i]
-        report = BoundReport(q, n, r, t, *(column[i] for column in columns), exact_t)
-        if exact_t is not None:
-            for low in (report.lev_lower, report.hr_lower, report.new_lower):
-                if low > exact_t:
-                    raise AssertionError(f"lower bound {low} exceeds exact {exact_t}: {report}")
-            for high in (report.lev_upper, report.ch_upper, report.new_upper):
-                if high < exact_t:
-                    raise AssertionError(f"upper bound {high} below exact {exact_t}: {report}")
+        report = BoundReport(q, n, r, t, **{column: v[t - t_lo] for column, v in values.items()})
+        exact = report.exact
+        if exact is not None:
+            for column in values:
+                bound, side = getattr(report, column), table[column][0]
+                if side == "lower" and bound > exact:
+                    raise AssertionError(f"lower bound {bound} exceeds exact {exact}: {report}")
+                if side == "upper" and bound < exact:
+                    raise AssertionError(f"upper bound {bound} below exact {exact}: {report}")
         reports.append(report)
     return reports
 
 
 def report_for_word(word: Word, t: int) -> BoundReport:
-    """BoundReport for a concrete word, with its exact ball size; n, r, q
-    are read off the word."""
+    """BoundReport for a concrete word, with every bound and its exact ball
+    size; n, r, q are read off the word."""
     profile = encode_runs(word)
-    return _reports(word.alphabet_size, len(word), profile.run_count, [t], profile)[0]
+    table = {**_COLUMNS, "exact": ("exact", lambda q, n, r: (ball_size_all, profile))}
+    return _reports(word.alphabet_size, len(word), profile.run_count, [t], table)[0]
 
 
 def sweep_reports(
-    q: int, n: int, r: int, t_values: Iterable[int], with_exact: bool = False
+    q: int, n: int, r: int, t_values: Iterable[int], columns: Sequence[str] = COLUMN_ORDER[1:]
 ) -> list[BoundReport]:
-    """Reports for each t in order, every column computed once for all t.
+    """Reports for each t in order, each requested column computed once for all t.
 
-    The exact column, when requested, is that of the canonical word with
-    r - 1 unit runs then one long run over alphabet q (for r = 1 and for
-    r = n the only run shape available), counted like the witnesses.  For
-    one t, take ``sweep_reports(q, n, r, [t])[0]``.
+    ``columns`` names the columns to compute, in any order (by default
+    every bound, without the ``exact`` that leads COLUMN_ORDER); the others
+    are None, and an unknown name raises ValueError.  The exact column is
+    that of the canonical word with r - 1 unit runs then one long run over
+    alphabet q (for r = 1 and for r = n the only run shape available),
+    counted like the witnesses.  For one t, take ``sweep_reports(q, n, r,
+    [t])[0]``.
     """
-    _check_params(q, n, r)  # before the exact witness is built
-    return _reports(q, n, r, t_values, unbalanced_profile(n, r, q) if with_exact else None)
+    unknown = [c for c in columns if c not in COLUMN_ORDER]
+    if unknown:
+        raise ValueError(f"unknown columns {unknown}; choose from {list(COLUMN_ORDER)}")
+    return _reports(q, n, r, t_values, {column: _COLUMNS[column] for column in columns})

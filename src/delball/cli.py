@@ -21,7 +21,8 @@ its top: each command loads the modules it runs on first use.  ``--help``
 and a usage error load no delball module but this one and the package;
 ``count`` adds ``words`` and ``exact`` (``split`` only when it forks);
 ``chain`` adds ``words``, ``exact`` and ``ops``; ``bounds`` and ``sweep``
-add ``words``, ``exact`` and ``bounds``.  The commands
+add ``words``, ``exact`` and ``bounds`` (``split`` only when a one-t
+request forks).  The commands
 call the package exports they use (such as ``ball_size``) as attributes
 of this module, which the module ``__getattr__`` resolves through the
 package's lazy table, so a ``setattr`` on the module replaces what a
@@ -114,7 +115,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    report = _cli.sweep_reports(args.q, args.n, args.r, [args.deletions], args.exact)[0]
+    columns = COLUMN_ORDER if args.exact else [c for c in COLUMN_ORDER if c != "exact"]
+    report = _cli.sweep_reports(args.q, args.n, args.r, [args.deletions], columns)[0]
     from .bounds import json_chunks
 
     print("".join(json_chunks(report.to_json_dict())))
@@ -125,8 +127,8 @@ def sweep_chunks(
     q: int, n: int, r: int, t_lo: int, t_hi: int, columns: Sequence[str], fmt: str
 ) -> Iterator[str]:
     """One sweep's CSV or JSON text in pieces, from reports computed before it returns."""
+    reports = _cli.sweep_reports(q, n, r, range(t_lo, t_hi + 1), columns)
     ordered = [c for c in COLUMN_ORDER if c in columns]
-    reports = _cli.sweep_reports(q, n, r, range(t_lo, t_hi + 1), with_exact="exact" in ordered)
     from .bounds import format_sweep
 
     return format_sweep(q, n, r, t_lo, t_hi, ordered, fmt, reports)
@@ -144,9 +146,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     columns = [c.strip() for c in args.cols.split(",") if c.strip()]
     if not columns:
         raise ValueError("no columns requested")
-    unknown = [c for c in columns if c not in COLUMN_ORDER]
-    if unknown:
-        raise ValueError(f"unknown columns {unknown}; choose from {list(COLUMN_ORDER)}")
     chunks = sweep_chunks(args.q, args.n, args.r, t_lo, t_hi, columns, args.format)
     if args.out == "-":
         sys.stdout.writelines(chunks)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delball import COLUMN_ORDER, bounds
+from delball import COLUMN_ORDER, bounds, cli
 from delball.balanced import BalancedBallCalculator, ball_closed, composition_count
 from delball.bounds import (
     BoundReport,
@@ -19,7 +19,6 @@ from delball.bounds import (
     _levenshtein_columns,
     calabi_hartnett_max,
     json_chunks,
-    levenshtein_bounds,
     report_for_word,
     sweep_reports,
 )
@@ -34,16 +33,12 @@ def binomial(a: int, b: int) -> int:
 
 
 def test_levenshtein_bounds_examples():
-    assert levenshtein_bounds(2, 1) == (2, 2)
-    assert levenshtein_bounds(6, 7) == (0, 792)
+    assert _levenshtein_columns(2, 1, 1) == ([2], [2])
+    assert _levenshtein_columns(6, 7, 7) == ([0], [792])
     for r in (1, 4, 9):
-        assert levenshtein_bounds(r, 0) == (1, 1)
-        assert levenshtein_bounds(r, -1) == (0, 0)
-    # No word has fewer than one run: (1, 0) at r = 0 had its lower bound
-    # above its upper one.
-    for r, t in ((0, 0), (0, 3), (-2, 1), (0, -1)):
-        with pytest.raises(ValueError, match=rf"^need 1 <= r, got r={r}$"):
-            levenshtein_bounds(r, t)
+        assert _levenshtein_columns(r, 0, 0) == ([1], [1])
+    report = sweep_reports(3, 12, 6, [7], columns=("lev_lower", "lev_upper"))[0]
+    assert (report.lev_lower, report.lev_upper) == (0, 792)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -56,7 +51,7 @@ def test_levenshtein_columns_match_binomials(r, t_lo, span):
     ts = range(t_lo, t_hi + 1)
     assert lower == [binomial(r - t + 1, t) for t in ts]
     assert upper == [binomial(r + t - 1, t) for t in ts]
-    assert levenshtein_bounds(r, t_lo) == (lower[0], upper[0])
+    assert _levenshtein_columns(r, t_lo, t_lo) == ([lower[0]], [upper[0]])
 
 
 def test_levenshtein_columns_edges():
@@ -194,9 +189,9 @@ def test_sweep_reports_take_t_in_any_order(monkeypatch):
     for q in (2, 3, 5):
         for n in range(1, 16):
             for r in (1, (n + 1) // 2, n):
-                ordered = sweep_reports(q, n, r, range(n + 1), with_exact=True)
+                ordered = sweep_reports(q, n, r, range(n + 1), columns=COLUMN_ORDER)
                 ts = list(range(n, -1, -1)) + [n // 2, n // 3, n // 2, n]
-                assert sweep_reports(q, n, r, ts, with_exact=True) == [ordered[t] for t in ts]
+                assert sweep_reports(q, n, r, ts, columns=COLUMN_ORDER) == [ordered[t] for t in ts]
                 ts = [n // 2, n // 3, n // 2]
                 assert sweep_reports(q, n, r, ts) == [ordered[t]._replace(exact=None) for t in ts]
     # An empty request is checked, then answered without any DP.
@@ -206,7 +201,7 @@ def test_sweep_reports_take_t_in_any_order(monkeypatch):
     monkeypatch.setattr(bounds, "ball_size_all", no_dp)
     for ts in ([], range(0), ()):
         assert sweep_reports(3, 5, 2, ts) == []
-        assert sweep_reports(3, 5, 2, ts, with_exact=True) == []
+        assert sweep_reports(3, 5, 2, ts, columns=COLUMN_ORDER) == []
     with pytest.raises(ValueError, match=r"^need 1 <= r <= n, got r=6, n=5$"):
         sweep_reports(3, 5, 6, [])
 
@@ -214,8 +209,8 @@ def test_sweep_reports_take_t_in_any_order(monkeypatch):
 def test_sweep_reports_read_one_shot_iterables_once():
     # A generator or a set of t gives the reports of the equal list.
     for ts in ([0, 1, 2], [4, 0, 4, 7]):
-        want = sweep_reports(3, 10, 4, ts, with_exact=True)
-        assert sweep_reports(3, 10, 4, (t for t in ts), with_exact=True) == want
+        want = sweep_reports(3, 10, 4, ts, columns=COLUMN_ORDER)
+        assert sweep_reports(3, 10, 4, (t for t in ts), columns=COLUMN_ORDER) == want
         as_set = set(ts)
         assert sweep_reports(3, 10, 4, as_set) == sweep_reports(3, 10, 4, list(as_set))
     assert sweep_reports(3, 10, 4, iter(())) == []
@@ -238,6 +233,43 @@ def test_report_raises_on_a_contradicted_bound(monkeypatch):
         patch.setattr(bounds, "_calabi_hartnett_column", lambda q, n, t_lo, t_hi: [0] * (t_hi - t_lo + 1))
         with pytest.raises(AssertionError, match=r"^upper bound 0 below exact \d+: .*ch_upper=0,"):
             report_for_word(word, 2)
+        # Only the requested columns are checked: without ch_upper and
+        # hr_upper the broken column is neither computed nor read.
+        columns = [c for c in COLUMN_ORDER if c not in ("ch_upper", "hr_upper")]
+        report = sweep_reports(3, 6, 3, [2], columns)[0]
+        assert (report.exact, report.ch_upper, report.hr_upper) == (4, None, None)
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_hr_lower_column", lambda r, t_lo, t_hi: [10**9] * (t_hi - t_lo + 1))
+        with pytest.raises(AssertionError, match=lower):
+            sweep_reports(3, 6, 3, [2], ("exact", "hr_lower"))
+
+
+def test_unrequested_columns_are_never_computed(monkeypatch):
+    def broken(*args):
+        raise AssertionError("an unrequested column was computed")
+
+    real_ch = bounds._calabi_hartnett_column
+    monkeypatch.setattr(bounds, "ball_size_all", broken)
+    monkeypatch.setattr(bounds, "_calabi_hartnett_column", broken)
+    reports = sweep_reports(3, 40, 20, range(41), columns=("lev_lower", "lev_upper", "hr_lower"))
+    assert reports[5] == BoundReport(3, 40, 20, 5, comb(16, 5), comb(24, 5), sum(comb(15, i) for i in range(6)))
+    assert cli.sweep_text(3, 40, 20, 0, 2, ["hr_lower"], "csv") == "t,hr_lower\n0,1\n1,20\n2,172\n"
+    # ch_upper and hr_upper share one Calabi-Hartnett walk per request.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real_ch(*args)
+
+    monkeypatch.setattr(bounds, "_calabi_hartnett_column", counted)
+    for columns in (["ch_upper"], ["hr_upper"], ["hr_upper", "ch_upper"], ["lev_upper", "ch_upper"]):
+        calls.clear()
+        reports = sweep_reports(3, 40, 20, [7, 3, 9], columns)
+        assert calls == [(3, 40, 3, 9)]
+        for report in reports:
+            assert report.value(columns[-1]) == calabi_hartnett_max(3, 40, report.t)
+    with pytest.raises(ValueError, match=r"^unknown columns \['nope'\]; choose from \["):
+        sweep_reports(3, 40, 20, [1], ["lev_lower", "nope"])
 
 
 def test_unbalanced_lower_bound():
@@ -294,12 +326,12 @@ def test_report_errors():
     with pytest.raises(ValueError, match=r"^need 1 <= r <= n, got r=5, n=4$"):
         sweep_reports(3, 4, 5, [1])
     with pytest.raises(ValueError, match=r"^need q >= 2$"):
-        sweep_reports(1, 4, 2, [1], with_exact=True)
+        sweep_reports(1, 4, 2, [1], columns=COLUMN_ORDER)
     with pytest.raises(ValueError, match=r"^need 1 <= r <= n, got r=0, n=0$"):
         report_for_word(Word((), 2), 0)
     for call in (
         lambda: sweep_reports(2, 5, 2, [6]),
-        lambda: sweep_reports(2, 5, 2, [-1], with_exact=True),
+        lambda: sweep_reports(2, 5, 2, [-1], columns=COLUMN_ORDER),
         lambda: sweep_reports(2, 5, 2, [0, 6]),
         lambda: sweep_reports(2, 5, 2, range(10**12)),
         lambda: report_for_word(parse_word("0101"), 5),
@@ -315,11 +347,11 @@ def test_exact_column_witness():
     for q, n, r, text, t, want in cases:
         assert unbalanced_profile(n, r, q).to_word().text() == text
         assert len(enumerate_ball(parse_word(text, q), t)) == want
-        assert sweep_reports(q, n, r, [t], with_exact=True)[0].exact == want
+        assert sweep_reports(q, n, r, [t], columns=COLUMN_ORDER)[0].exact == want
 
 
 def test_report_json_round_trip():
-    report = sweep_reports(3, 120, 24, [40], with_exact=False)[0]
+    report = sweep_reports(3, 120, 24, [40])[0]
     payload = json.loads(json.dumps(report.to_json_dict()))
     assert payload["q"] == 3 and payload["t"] == 40
     assert "exact" not in payload
@@ -394,7 +426,7 @@ def test_json_chunks_match_json_dumps(value):
 
 
 def test_sweep_reports_share_exact_column():
-    reports = sweep_reports(2, 12, 4, list(range(0, 13)), with_exact=True)
+    reports = sweep_reports(2, 12, 4, list(range(0, 13)), columns=COLUMN_ORDER)
     assert [rep.t for rep in reports] == list(range(13))
     word = unbalanced_profile(12, 4, 2)
     for rep in reports:
@@ -440,7 +472,7 @@ def test_sweep_columns_match_oracles():
             for r in range(1, n + 1):
                 calculator = BalancedBallCalculator(-(-n // r), q)
                 lower_runs = (1,) * (r - 1) + (n - r + 1,)
-                reports = sweep_reports(q, n, r, range(n + 1), with_exact=True)
+                reports = sweep_reports(q, n, r, range(n + 1), columns=COLUMN_ORDER)
                 assert [rep.t for rep in reports] == list(range(n + 1))
                 for rep in reports:
                     t = rep.t

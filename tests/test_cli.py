@@ -207,7 +207,7 @@ def sweep_requests(draw):
 def test_sweep_json_is_json_dumps_of_its_payload(request):
     q, n, r, t_lo, t_hi, columns = request
     ordered = [c for c in COLUMN_ORDER if c in columns]
-    reports = sweep_reports(q, n, r, list(range(t_lo, t_hi + 1)), with_exact="exact" in columns)
+    reports = sweep_reports(q, n, r, list(range(t_lo, t_hi + 1)), columns)
     rows = [{"t": rep.t, **{c: str(rep.value(c)) for c in ordered}} for rep in reports]
     payload = {"q": q, "n": n, "r": r, "t_range": [t_lo, t_hi], "columns": ordered, "rows": rows}
     assert cli.sweep_text(*request, "json") == json.dumps(payload, indent=2) + "\n"
@@ -555,7 +555,7 @@ def test_oracles_import_without_dataclasses():
 def test_package_exports_resolve_to_submodule_objects():
     namespace = {}
     exec("from delball import *", namespace)
-    assert sorted(delball.__all__) == delball.__all__ and len(delball.__all__) == 35
+    assert sorted(delball.__all__) == delball.__all__ and len(delball.__all__) == 34
     for name in delball.__all__:
         value = namespace[name]
         module = sys.modules[value.__module__]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delball import exact, oracles, split
+from delball import COLUMN_ORDER, exact, oracles, split
 from delball.bounds import report_for_word, sweep_reports
 from delball.exact import SPLIT_MIN_CELLS, _fold, _split_plan, ball_size, ball_size_all
 from delball.ops import _ball_sizes, balance_step, balancing_chain, cyclicize
@@ -385,12 +385,12 @@ def test_one_length_report_takes_the_split_and_a_range_does_not(monkeypatch, for
     # predicts about 151,500 cells, which _split_pays accepts; a range of t
     # runs one pass per witness on one core.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    report = sweep_reports(3, 1100, 550, [550], with_exact=True)[0]
+    report = sweep_reports(3, 1100, 550, [550], columns=COLUMN_ORDER)[0]
     assert len(forks) == 3
-    assert sweep_reports(3, 1100, 550, [549, 550], with_exact=True)[1] == report
+    assert sweep_reports(3, 1100, 550, [549, 550], columns=COLUMN_ORDER)[1] == report
     assert len(forks) == 3
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert sweep_reports(3, 1100, 550, [550], with_exact=True)[0] == report
+    assert sweep_reports(3, 1100, 550, [550], columns=COLUMN_ORDER)[0] == report
     assert len(forks) == 3
     assert_reaped(forks)
 
