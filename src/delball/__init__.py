@@ -7,13 +7,12 @@ only the modules they use.  The submodules that define them resolve the
 same way, as ``delball.bounds`` and so on.  ``delball.cli`` resolves its
 layer entry points through this table too.
 
-``COLUMN_ORDER`` is defined here rather than in ``bounds``, whose reports
-it orders, so that the command line's help can name the columns without
-loading ``bounds``.
+``COLUMN_ORDER`` and ``BOUND_COLUMNS`` (all but ``exact``) are defined
+here rather than in ``bounds``, whose reports they order, so that the
+command line's help can name the columns without loading ``bounds``.
 """
 
-COLUMN_ORDER = (
-    "exact",
+BOUND_COLUMNS = (
     "lev_lower",
     "lev_upper",
     "hr_lower",
@@ -22,6 +21,7 @@ COLUMN_ORDER = (
     "new_lower",
     "new_upper",
 )
+COLUMN_ORDER = ("exact", *BOUND_COLUMNS)
 
 _EXPORTS = {
     name: module

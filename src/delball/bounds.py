@@ -44,7 +44,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from math import comb
 
-from . import COLUMN_ORDER
+from . import BOUND_COLUMNS, COLUMN_ORDER
 from .exact import ball_size_all
 from .words import (
     Word,
@@ -219,8 +219,9 @@ def format_sweep(
     q: int, n: int, r: int, t_lo: int, t_hi: int, columns: Sequence[str], fmt: str,
     reports: Iterable[BoundReport],
 ) -> Iterator[str]:
-    """The CSV or JSON text of a sweep's reports, in pieces: each row is
-    formatted when it is read, so the text is never held whole."""
+    """The CSV or JSON text of a sweep's reports, ``columns`` in COLUMN_ORDER, in
+    pieces: each row is formatted when it is read, so the text is never held whole."""
+    columns = [c for c in COLUMN_ORDER if c in columns]
     if fmt == "csv":
         yield "t," + ",".join(columns) + "\n"
         for report in reports:
@@ -280,17 +281,16 @@ def report_for_word(word: Word, t: int) -> BoundReport:
 
 
 def sweep_reports(
-    q: int, n: int, r: int, t_values: Iterable[int], columns: Sequence[str] = COLUMN_ORDER[1:]
+    q: int, n: int, r: int, t_values: Iterable[int], columns: Sequence[str] = BOUND_COLUMNS
 ) -> list[BoundReport]:
     """Reports for each t in order, each requested column computed once for all t.
 
     ``columns`` names the columns to compute, in any order (by default
-    every bound, without the ``exact`` that leads COLUMN_ORDER); the others
-    are None, and an unknown name raises ValueError.  The exact column is
-    that of the canonical word with r - 1 unit runs then one long run over
-    alphabet q (for r = 1 and for r = n the only run shape available),
-    counted like the witnesses.  For one t, take ``sweep_reports(q, n, r,
-    [t])[0]``.
+    BOUND_COLUMNS, every column but ``exact``); the others are None, and an
+    unknown name raises ValueError.  The exact column is that of the
+    canonical word with r - 1 unit runs then one long run over alphabet q
+    (for r = 1 and for r = n the only run shape available), counted like
+    the witnesses.  For one t, take ``sweep_reports(q, n, r, [t])[0]``.
     """
     unknown = [c for c in columns if c not in COLUMN_ORDER]
     if unknown:

@@ -9,12 +9,13 @@ integers long before the interesting parameter ranges.
 Exit codes: 0 success, 2 input error, 3 a request too large for this
 machine (out of memory, or a size past its index range) or a ``selftest``
 refused by the enumeration budget, 4 output I/O error (stdout, also when
-closed at launch, or ``--out``).  Subcommands only parse, compute and
-print; ``main`` maps every failure to its code and one line on stderr
-(argparse's usage text for a usage error), which an unwritable stderr
-loses without changing the code.  ``--help`` writes to stdout under the
-same table.  ``bounds`` and ``sweep`` compute all their reports before
-writing, then stream the text.
+closed at launch, or ``--out``), 130 interrupted (SIGINT, as by Ctrl-C).
+Subcommands only parse, compute and print, and ``selftest`` maps its own
+refusal; ``main`` maps every other failure to its code and one line on
+stderr (argparse's usage text for a usage error), which an unwritable
+stderr loses without changing the code.  ``--help`` writes to stdout
+under the same table.  ``bounds`` and ``sweep`` compute all their reports
+before writing, then stream the text.
 
 Every launch is a fresh interpreter, so this module imports no layer at
 its top: each command loads the modules it runs on first use.  ``--help``
@@ -37,7 +38,7 @@ import re
 import sys
 from collections.abc import Iterator, Sequence
 
-from . import COLUMN_ORDER, _EXPORTS
+from . import BOUND_COLUMNS, COLUMN_ORDER, _EXPORTS
 
 _cli = sys.modules[__name__]  # the commands look their layer calls up here, when they run
 
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
+EXIT_INTERRUPTED = 130
 
 
 def __getattr__(name: str) -> object:
@@ -54,13 +56,6 @@ def __getattr__(name: str) -> object:
     value = getattr(sys.modules[__package__], name)
     globals()[name] = value
     return value
-
-
-def _budget_error() -> type[Exception] | tuple[()]:
-    """``EnumerationBudgetError`` once ``oracles`` (which alone raises it) is
-    loaded, else an empty tuple, which no exception matches."""
-    oracles = sys.modules.get(f"{__package__}.oracles")
-    return () if oracles is None else oracles.EnumerationBudgetError
 
 
 def _drop_pending(stream) -> None:
@@ -115,7 +110,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    columns = COLUMN_ORDER if args.exact else [c for c in COLUMN_ORDER if c != "exact"]
+    columns = COLUMN_ORDER if args.exact else BOUND_COLUMNS
     report = _cli.sweep_reports(args.q, args.n, args.r, [args.deletions], columns)[0]
     from .bounds import json_chunks
 
@@ -128,10 +123,9 @@ def sweep_chunks(
 ) -> Iterator[str]:
     """One sweep's CSV or JSON text in pieces, from reports computed before it returns."""
     reports = _cli.sweep_reports(q, n, r, range(t_lo, t_hi + 1), columns)
-    ordered = [c for c in COLUMN_ORDER if c in columns]
     from .bounds import format_sweep
 
-    return format_sweep(q, n, r, t_lo, t_hi, ordered, fmt, reports)
+    return format_sweep(q, n, r, t_lo, t_hi, columns, fmt, reports)
 
 
 def sweep_text(
@@ -199,8 +193,12 @@ def _word_text(profile: RunProfile) -> str:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     from . import selftest
+    from .oracles import EnumerationBudgetError
 
-    return selftest.run(args.scale)
+    try:
+        return selftest.run(args.scale)
+    except EnumerationBudgetError as exc:  # only selftest enumerates here
+        return _fail(str(exc), EXIT_BUDGET)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", dest="t_range", required=True, help='inclusive range "a..b"')
     p.add_argument(
         "--cols",
-        default=",".join(c for c in COLUMN_ORDER if c != "exact"),
+        default=",".join(BOUND_COLUMNS),
         help=f"comma-separated subset of {','.join(COLUMN_ORDER)}",
     )
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
@@ -270,8 +268,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(str(exc), EXIT_INPUT, prefix="")
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
-    except _budget_error() as exc:
-        return _fail(str(exc), EXIT_BUDGET)
     except MemoryError:
         return _fail("out of memory: the request is too large for this machine", EXIT_BUDGET)
     except OverflowError as exc:
@@ -279,3 +275,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         _drop_pending(sys.stdout)
         return _fail(f"cannot write output: {exc}", EXIT_IO)
+    except KeyboardInterrupt:
+        return _fail("interrupted", EXIT_INTERRUPTED)

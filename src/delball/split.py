@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import marshal
 import os
+import signal
 import sys
 from io import BufferedReader
 
@@ -98,8 +99,16 @@ def _received(pipe: BufferedReader):
 
 
 def _reap(pid: int, pipe: BufferedReader) -> None:
-    """Close the read end (a child still writing then fails) and wait for the child."""
+    """Close the read end, stop the child and wait for it.
+
+    The child is killed, not waited out: once the count is done (or
+    interrupted) nothing it still writes is read.
+    """
     pipe.close()
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:  # already reaped
+        pass
     try:
         os.waitpid(pid, 0)
     except ChildProcessError:  # already reaped, e.g. with SIGCHLD ignored

@@ -510,3 +510,15 @@ def test_bound_report_value_contract():
     with pytest.raises(ValueError) as info:
         report.value("nope")
     assert str(info.value) == "unknown column 'nope'"
+
+
+def test_cycling_word_columns_at_r_equal_n():
+    # At r = n the exact and new_upper witnesses are both the cycling word
+    # 0, 1, ..., q-1, 0, ..., whose ball is the Calabi-Hartnett maximum, and
+    # new_lower's is the alternating binary word, whose ball is the
+    # Hirschberg-Regnier lower bound.
+    for q in (2, 3, 4):
+        for n in range(1, 41):
+            for rep in sweep_reports(q, n, n, range(n + 1), columns=COLUMN_ORDER):
+                assert rep.exact == rep.new_upper == rep.ch_upper, rep
+                assert rep.new_lower == rep.hr_lower, rep

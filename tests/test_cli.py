@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -719,6 +720,63 @@ def test_selftest_budget_exhausted_exit_3():
         result = launch("selftest", "small", budget=bad)
         assert result.stdout == ""
         assert_one_line(result, 2, "DELBALL_ENUM_BUDGET")
+
+
+INTERRUPTED = "delball: interrupted\n"
+
+
+def interrupted(*argv, after, group=False):
+    """``python -m delball argv``, sent SIGINT ``after`` seconds in: to its
+    process alone, or to its whole process group as a terminal's Ctrl-C
+    does.  Its result, and the seconds from the signal until its output
+    closed and it exited; no process of its group may outlive it."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "delball", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=src_env(), text=True, start_new_session=True,
+    ) as process:
+        time.sleep(after)
+        signalled = time.perf_counter()
+        (os.killpg if group else os.kill)(process.pid, signal.SIGINT)
+        out, err = process.communicate(timeout=60)
+        waited = time.perf_counter() - signalled
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    else:
+        pytest.fail(f"a process of the interrupted launch {argv[0]} outlived it")
+    return subprocess.CompletedProcess(argv, process.returncode, out, err), waited
+
+
+def test_interrupted_sweep_prints_one_line(tmp_path):
+    # SIGINT 1.5 s into the n = 4000 sweep, while its reports are computed:
+    # one line and exit 130.  With --out, no file exists yet to leave behind.
+    argv = ("sweep", "--q", "3", "--n", "4000", "--r", "4000", "--t", "0..4000")
+    target = tmp_path / "rows.csv"
+    for out in ((), ("--out", str(target))):
+        result, _ = interrupted(*argv, *out, after=1.5)
+        assert (result.returncode, result.stdout, result.stderr) == (130, "", INTERRUPTED), out
+        assert "Traceback" not in result.stderr
+    assert not target.exists()
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or CPUS < 2, reason="needs os.fork and two CPUs")
+def test_interrupted_forking_count_stops_its_child():
+    # A count of 7,000 random symbols over 4 at t = 3500 forks its DP, and
+    # takes about 3 s.  SIGINT 1 s in, to the parent alone or to the whole
+    # group: the parent kills its child rather than waiting for it, so the
+    # launch ends at once (a live child would hold stderr open).
+    rng = random.Random(1)
+    text = "".join(rng.choice("0123") for _ in range(7000))
+    profile = encode_runs(parse_word(text))
+    assert exact._split_pays(profile, 3500, *exact._split_plan(profile, 3500))
+    for group in (False, True):
+        result, waited = interrupted("count", "--word", text, "-t", "3500", after=1.0, group=group)
+        assert (result.returncode, result.stdout, result.stderr) == (130, "", INTERRUPTED), group
+        assert waited < 1.0, group
 
 
 def test_count_method_option_is_a_usage_error():
