@@ -34,7 +34,9 @@ report runs each walk that its ``columns`` name once, over [min t, max t]
 of its t (in any order, with repeats); a column not named is None and is
 not checked.  Reports and sweeps raise ValueError for any t outside
 [0, n].  A ``BoundReport`` is an immutable named tuple of the columns;
-``format_sweep`` writes a sweep's reports as CSV or JSON, and
+its ``row`` (t, then each column it holds as a decimal string) is a CSV
+line, a sweep's JSON row and, after q, n and r, ``to_json_dict``.
+``format_sweep`` writes a sweep read off its reports alone, and
 ``json_chunks`` (which it and ``delball bounds`` use) writes JSON.
 """
 
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 from math import comb
 
 from . import BOUND_COLUMNS, COLUMN_ORDER
@@ -165,15 +168,12 @@ _COLUMNS = {  # column: (side, walk[, index]); walks look their function up when
 
 class BoundReport(
     namedtuple(
-        "BoundReport",
-        "q n r t lev_lower lev_upper hr_lower hr_upper ch_upper new_lower new_upper exact",
+        "BoundReport", ("q", "n", "r", "t", *BOUND_COLUMNS, "exact"),
         defaults=(None,) * len(COLUMN_ORDER),
     )
 ):
-    """The requested bounds (and optionally the exact value) for one word or parameter set.
-
-    An immutable named tuple of ints; a column not requested is None.
-    """
+    """The requested bounds (and optionally the exact value) for one word or parameter
+    set: an immutable named tuple of ints, where a column not requested is None."""
 
     __slots__ = ()
 
@@ -182,18 +182,15 @@ class BoundReport(
             raise ValueError(f"unknown column {column!r}")
         return getattr(self, column)
 
-    def to_json_dict(self) -> dict[str, object]:
-        """Plain dict with ball counts as decimal strings (they overflow ints elsewhere)."""
-        out: dict[str, object] = {"q": self.q, "n": self.n, "r": self.r, "t": self.t}
-        for column in COLUMN_ORDER:
-            v = self.value(column)
-            if v is not None:
-                out[column] = decimal(v)
-        return out
+    def row(self) -> dict[str, int | str]:
+        """t, then each requested column in COLUMN_ORDER as a decimal string
+        (counts overflow ints elsewhere): the report's row in every format."""
+        values = ((column, getattr(self, column)) for column in COLUMN_ORDER)
+        return {"t": self.t, **{column: decimal(v) for column, v in values if v is not None}}
 
-    def csv_row(self, columns: Sequence[str]) -> str:
-        """t plus the requested columns, comma-separated, counts in decimal."""
-        return ",".join([str(self.t)] + [decimal(self.value(c)) for c in columns])
+    def to_json_dict(self) -> dict[str, int | str]:
+        """q, n and r, then the report's row."""
+        return {"q": self.q, "n": self.n, "r": self.r, **self.row()}
 
 
 def json_chunks(value: object, pad: str = "\n") -> Iterator[str]:
@@ -215,23 +212,21 @@ def json_chunks(value: object, pad: str = "\n") -> Iterator[str]:
     yield pad + brackets[1] if sep[0] == "," else brackets
 
 
-def format_sweep(
-    q: int, n: int, r: int, t_lo: int, t_hi: int, columns: Sequence[str], fmt: str,
-    reports: Iterable[BoundReport],
-) -> Iterator[str]:
-    """The CSV or JSON text of a sweep's reports, ``columns`` in COLUMN_ORDER, in
-    pieces: each row is formatted when it is read, so the text is never held whole."""
-    columns = [c for c in COLUMN_ORDER if c in columns]
+def format_sweep(reports: Sequence[BoundReport], fmt: str) -> Iterator[str]:
+    """A sweep's CSV or JSON text in pieces, read off its reports: q, n, r and the
+    columns (the row's) from the first, the t range from the first and last.
+    Each row is formatted when it is read, so the text is never held whole.
+    An empty sweep raises ValueError at the call."""
+    if not reports:
+        raise ValueError("no t requested")
+    first, rows = reports[0], map(BoundReport.row, reports)
+    columns = list(first.row())[1:]
     if fmt == "csv":
-        yield "t," + ",".join(columns) + "\n"
-        for report in reports:
-            yield report.csv_row(columns) + "\n"
-        return
-    rows = ({"t": rep.t, **{c: decimal(rep.value(c)) for c in columns}} for rep in reports)
-    yield from json_chunks(
-        {"q": q, "n": n, "r": r, "t_range": [t_lo, t_hi], "columns": columns, "rows": rows}
-    )
-    yield "\n"
+        lines = (",".join(map(str, row.values())) + "\n" for row in rows)
+        return chain(["t," + ",".join(columns) + "\n"], lines)
+    t_range = [first.t, reports[-1].t]
+    payload = {"q": first.q, "n": first.n, "r": first.r, "t_range": t_range, "columns": columns}
+    return chain(json_chunks({**payload, "rows": rows}), ["\n"])
 
 
 def _reports(q: int, n: int, r: int, t_values: Iterable[int], table: dict) -> list[BoundReport]:
@@ -281,18 +276,22 @@ def report_for_word(word: Word, t: int) -> BoundReport:
 
 
 def sweep_reports(
-    q: int, n: int, r: int, t_values: Iterable[int], columns: Sequence[str] = BOUND_COLUMNS
+    q: int, n: int, r: int, t_values: Iterable[int], columns: Iterable[str] = BOUND_COLUMNS
 ) -> list[BoundReport]:
     """Reports for each t in order, each requested column computed once for all t.
 
     ``columns`` names the columns to compute, in any order (by default
-    BOUND_COLUMNS, every column but ``exact``); the others are None, and an
-    unknown name raises ValueError.  The exact column is that of the
-    canonical word with r - 1 unit runs then one long run over alphabet q
-    (for r = 1 and for r = n the only run shape available), counted like
-    the witnesses.  For one t, take ``sweep_reports(q, n, r, [t])[0]``.
+    BOUND_COLUMNS, every column but ``exact``); the others are None.  An
+    unknown name, or no name at all, raises ValueError before any DP.  The
+    exact column is that of the canonical word with r - 1 unit runs then
+    one long run over alphabet q (for r = 1 and for r = n the only run
+    shape available), counted like the witnesses.  For one t, take
+    ``sweep_reports(q, n, r, [t])[0]``.
     """
+    columns = tuple(columns)  # read once, so that an iterator of names is checked as a whole
     unknown = [c for c in columns if c not in COLUMN_ORDER]
     if unknown:
         raise ValueError(f"unknown columns {unknown}; choose from {list(COLUMN_ORDER)}")
+    if not columns:
+        raise ValueError("no columns requested")
     return _reports(q, n, r, t_values, {column: _COLUMNS[column] for column in columns})

@@ -125,7 +125,7 @@ def sweep_chunks(
     reports = _cli.sweep_reports(q, n, r, range(t_lo, t_hi + 1), columns)
     from .bounds import format_sweep
 
-    return format_sweep(q, n, r, t_lo, t_hi, columns, fmt, reports)
+    return format_sweep(reports, fmt)
 
 
 def sweep_text(
@@ -138,8 +138,6 @@ def sweep_text(
 def cmd_sweep(args: argparse.Namespace) -> int:
     t_lo, t_hi = _parse_t_range(args.t_range)
     columns = [c.strip() for c in args.cols.split(",") if c.strip()]
-    if not columns:
-        raise ValueError("no columns requested")
     chunks = sweep_chunks(args.q, args.n, args.r, t_lo, t_hi, columns, args.format)
     if args.out == "-":
         sys.stdout.writelines(chunks)

@@ -18,6 +18,7 @@ from delball.bounds import (
     _hr_lower_column,
     _levenshtein_columns,
     calabi_hartnett_max,
+    format_sweep,
     json_chunks,
     report_for_word,
     sweep_reports,
@@ -202,6 +203,11 @@ def test_sweep_reports_take_t_in_any_order(monkeypatch):
     for ts in ([], range(0), ()):
         assert sweep_reports(3, 5, 2, ts) == []
         assert sweep_reports(3, 5, 2, ts, columns=COLUMN_ORDER) == []
+    # So is a request of no column, which is refused.
+    for ts in ([], [1], range(6)):
+        for columns in ((), [], iter(())):
+            with pytest.raises(ValueError, match=r"^no columns requested$"):
+                sweep_reports(3, 5, 2, ts, columns=columns)
     with pytest.raises(ValueError, match=r"^need 1 <= r <= n, got r=6, n=5$"):
         sweep_reports(3, 5, 6, [])
 
@@ -214,6 +220,9 @@ def test_sweep_reports_read_one_shot_iterables_once():
         as_set = set(ts)
         assert sweep_reports(3, 10, 4, as_set) == sweep_reports(3, 10, 4, list(as_set))
     assert sweep_reports(3, 10, 4, iter(())) == []
+    # So is a generator of column names.
+    columns = ("new_upper", "lev_lower")
+    assert sweep_reports(3, 10, 4, ts, (c for c in columns)) == sweep_reports(3, 10, 4, ts, columns)
     with pytest.raises(ValueError, match=r"^t=11 outside \[0, n=10\]$"):
         sweep_reports(3, 10, 4, (t for t in (2, 11)))
 
@@ -364,6 +373,23 @@ def test_report_json_round_trip():
         with_exact.value("nope")
 
 
+def test_format_sweep_reads_its_request_off_the_reports():
+    # q, n, r, the t range and the columns all come from the reports.
+    reports = [BoundReport(2, 6, 2, t, new_upper=t + 4, exact=t) for t in (3, 4)]
+    assert "".join(format_sweep(reports, "csv")) == "t,exact,new_upper\n3,3,7\n4,4,8\n"
+    payload = json.loads("".join(format_sweep(reports, "json")))
+    assert {k: v for k, v in payload.items() if k != "rows"} == {
+        "q": 2, "n": 6, "r": 2, "t_range": [3, 4], "columns": ["exact", "new_upper"]
+    }
+    assert payload["rows"] == [report.row() for report in reports]
+    # An empty sweep is refused when asked for, before any text is read.
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValueError, match=r"^no t requested$"):
+            format_sweep([], fmt)
+        with pytest.raises(ValueError, match=r"^no t requested$"):
+            cli.sweep_text(2, 6, 2, 3, 1, ["exact"], fmt)
+
+
 def test_report_formats_counts_past_the_digit_limit():
     # Python 3.11 (and 3.10.7+) refuses str() of an int over 4,300 digits by
     # default.  Reports format such counts anyway and leave that limit alone.
@@ -375,7 +401,10 @@ def test_report_formats_counts_past_the_digit_limit():
     assert payload["lev_upper"] == payload["new_upper"] == "9" * 5000
     text = "7" + "0" * 6000 + "1" + "0" * 5998 + "42"
     assert payload["hr_upper"] == text and payload["exact"] == "-" + text
-    assert report.csv_row(["exact", "lev_lower", "ch_upper"]) == f"2,-{text},1,{text}"
+    # The row holds t and the columns that are not None, in COLUMN_ORDER.
+    report = BoundReport(3, 9, 3, 2, ch_upper=big, lev_lower=1, exact=-big)
+    want = [("t", 2), ("exact", "-" + text), ("lev_lower", "1"), ("ch_upper", text)]
+    assert list(report.row().items()) == want
     rng = random.Random(11)
     for _ in range(20):
         value = rng.getrandbits(rng.randint(1, 60000))

@@ -186,6 +186,7 @@ def test_sweep_bad_request_leaves_out_path_uncreated(capsys, tmp_path):
     for extra, message in (
         (["--t", "0..7"], "outside [0, n=6]"),
         (["--t", "0..3", "--cols", "new_upper,bogus"], "unknown columns ['bogus']"),
+        (["--t", "0..3", "--cols", ","], "no columns requested"),
         (["--t", "0-3"], 't range must look like "a..b"'),
     ):
         code, out, err = run_cli(capsys, *base, *extra)
@@ -204,14 +205,22 @@ def sweep_requests(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(sweep_requests())
-def test_sweep_json_is_json_dumps_of_its_payload(request):
+@given(sweep_requests(), st.sampled_from(("csv", "json")))
+def test_sweep_json_is_json_dumps_of_its_payload(request, fmt):
+    # The text is rebuilt from the report fields, not by the row renderer:
+    # as JSON, json.dumps of the payload; as CSV, a header and one line per t.
     q, n, r, t_lo, t_hi, columns = request
     ordered = [c for c in COLUMN_ORDER if c in columns]
     reports = sweep_reports(q, n, r, list(range(t_lo, t_hi + 1)), columns)
-    rows = [{"t": rep.t, **{c: str(rep.value(c)) for c in ordered}} for rep in reports]
-    payload = {"q": q, "n": n, "r": r, "t_range": [t_lo, t_hi], "columns": ordered, "rows": rows}
-    assert cli.sweep_text(*request, "json") == json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        lines = [",".join(["t", *ordered])]
+        lines += [",".join([str(rep.t)] + [str(getattr(rep, c)) for c in ordered]) for rep in reports]
+        want = "".join(line + "\n" for line in lines)
+    else:
+        rows = [{"t": rep.t, **{c: str(getattr(rep, c)) for c in ordered}} for rep in reports]
+        payload = {"q": q, "n": n, "r": r, "t_range": [t_lo, t_hi], "columns": ordered, "rows": rows}
+        want = json.dumps(payload, indent=2) + "\n"
+    assert cli.sweep_text(*request, fmt) == want
 
 
 def test_sweep_n120_outputs_pinned(capsys):
@@ -758,6 +767,21 @@ def test_interrupted_sweep_prints_one_line(tmp_path):
         assert (result.returncode, result.stdout, result.stderr) == (130, "", INTERRUPTED), out
         assert "Traceback" not in result.stderr
     assert not target.exists()
+
+
+def test_interrupted_chain_and_selftest_print_one_line():
+    # SIGINT 1.5 s in, while the table or the suites are computed, before
+    # anything is printed: a 100-run, 2,000-symbol chain at t = 1000 (about
+    # 8 s on a 2-vCPU host), signalled alone, and selftest full (about 6 s),
+    # signalled with its group as Ctrl-C would.
+    rng = random.Random(1)
+    cuts = sorted(rng.sample(range(1, 2000), 99))
+    lengths = [b - a for a, b in zip([0, *cuts], [*cuts, 2000])]
+    text = "".join("0123"[i % 4] * x for i, x in enumerate(lengths))
+    for argv, group in ((("chain", "--word", text, "-t", "1000"), False), (("selftest", "full"), True)):
+        result, _ = interrupted(*argv, after=1.5, group=group)
+        assert (result.returncode, result.stdout, result.stderr) == (130, "", INTERRUPTED), argv[0]
+        assert "Traceback" not in result.stderr
 
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
