@@ -10,12 +10,12 @@ Exit codes: 0 success, 2 input error, 3 a request too large for this
 machine (out of memory, or a size past its index range) or a ``selftest``
 refused by the enumeration budget, 4 output I/O error (stdout, also when
 closed at launch, or ``--out``), 130 interrupted (SIGINT, as by Ctrl-C).
-Subcommands only parse, compute and print, and ``selftest`` maps its own
-refusal; ``main`` maps every other failure to its code and one line on
-stderr (argparse's usage text for a usage error), which an unwritable
-stderr loses without changing the code.  ``--help`` writes to stdout
-under the same table.  ``bounds`` and ``sweep`` compute all their reports
-before writing, then stream the text.
+Each command parses, calls its layer and prints its result, and
+``selftest`` maps its own refusal; ``main`` maps every other failure to
+its code and one line on stderr (argparse's usage text for a usage
+error), which an unwritable stderr loses without changing the code.
+``--help`` writes to stdout under the same table.  ``bounds`` and
+``sweep`` compute all their reports before writing, then stream the text.
 
 Every launch is a fresh interpreter, so this module imports no layer at
 its top: each command loads the modules it runs on first use.  ``--help``
@@ -148,45 +148,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
-    from .words import check_deletions, decimal
+    from .words import check_deletions
 
     word = _cli.parse_word(args.word, args.q)
-    profile = _cli.encode_runs(word)
-    r, n = profile.run_count, len(word)
-    check_deletions(n, (args.deletions,))
-    if r and n % r:  # balancing_chain rejects r = 0 itself
-        raise ValueError(
-            f"run count {r} does not divide length {n}; no balancing chain exists. "
-            f"The padded balanced bound (k = ceil(n/r)) is still available via "
-            f"`delball bounds --q {word.alphabet_size} --n {n} --r {r} -t {args.deletions}`."
-        )
-    chain = _cli.balancing_chain(profile, args.deletions)
-    rows = [
-        (
-            str(step.index),
-            _word_text(step.profile),
-            ",".join(str(x) for x in step.profile.lengths),
-            str(step.sum_of_squares),
-            decimal(step.ball_size),
-        )
-        for step in chain
-    ]
-    headers = ("i", "word", "runs", "sum_sq", f"ball_t{args.deletions}")
-    widths = [max(len(h), *(len(row[col]) for row in rows)) for col, h in enumerate(headers)]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    check_deletions(len(word), (args.deletions,))
+    chain = _cli.balancing_chain(_cli.encode_runs(word), args.deletions)
+    from .ops import format_chain
+
+    sys.stdout.write(format_chain(chain, args.deletions))
     return EXIT_OK
-
-
-def _word_text(profile: RunProfile) -> str:
-    """``profile.to_word().text()``, built run by run."""
-    from .words import SYMBOL_CHARS
-
-    try:
-        return "".join(SYMBOL_CHARS[a] * x for x, a in zip(profile.lengths, profile.symbols))
-    except IndexError:
-        return profile.to_word().text()  # raises its ValueError: no text form past 36 symbols
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:

@@ -8,7 +8,8 @@ shorter one across a symmetric inner segment) never decreases it.  The
 contracts are exercised by the test suite; the operations themselves only
 transform words.  A balancing chain is a list of ``ChainStep`` rows,
 immutable named tuples; ``balancing_chain`` builds every step's profile
-first and counts them all in one ``_ball_sizes`` call.
+first and counts them all in one ``_ball_sizes`` call, and
+``format_chain`` renders a chain as the table ``delball chain`` prints.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .exact import _START, _fold, _join
-from .words import RunProfile, Word, canonical_profile, canonical_word, encode_runs
+from .words import SYMBOL_CHARS, RunProfile, Word, canonical_profile, canonical_word, decimal, encode_runs
 
 
 def insert_symbol(word: Word, position: int, symbol: int) -> Word:
@@ -159,7 +160,8 @@ def balancing_chain(word: Word | RunProfile, t: int) -> list[ChainStep]:
 
     Step 0 is the input, step 1 its cyclic relabeling; each later step
     applies one balance_step to the closest unbalanced pair until every
-    run has length n / r.  Requires the run count to divide the length.
+    run has length n / r.  Requires the run count to divide the length (the
+    refusal names the ``delball bounds`` request that still applies).
     Along the chain the ball size never decreases and the sum of squared
     run lengths strictly decreases at every balance step.
     """
@@ -169,7 +171,11 @@ def balancing_chain(word: Word | RunProfile, t: int) -> list[ChainStep]:
     if r == 0:
         raise ValueError("empty word has no balancing chain")
     if n % r != 0:
-        raise ValueError(f"run count {r} does not divide length {n}")
+        raise ValueError(
+            f"run count {r} does not divide length {n}; no balancing chain exists. "
+            f"The padded balanced bound (k = ceil(n/r)) is still available via "
+            f"`delball bounds --q {word.alphabet_size} --n {n} --r {r} -t {t}`."
+        )
     k = n // r
     current = canonical_profile(start.lengths, word.alphabet_size)
     profiles = [start, current]
@@ -181,3 +187,20 @@ def balancing_chain(word: Word | RunProfile, t: int) -> list[ChainStep]:
         ChainStep(i, profile, size, sum(x * x for x in profile.lengths))
         for i, (profile, size) in enumerate(zip(profiles, sizes))
     ]
+
+
+def format_chain(chain: Sequence[ChainStep], t: int) -> str:
+    """The table ``delball chain`` prints: a header, then per step its index, word,
+    run lengths, sum of squares and ball, each column padded to its widest cell and
+    trailing spaces stripped.  The word is built run by run; past 36 symbols
+    ``Word.text`` raises its ValueError."""
+    rows = [("i", "word", "runs", "sum_sq", f"ball_t{t}")]
+    for index, profile, size, squares in chain:
+        try:
+            text = "".join(SYMBOL_CHARS[a] * x for x, a in zip(profile.lengths, profile.symbols))
+        except IndexError:
+            text = profile.to_word().text()  # raises: no text form past 36 symbols
+        runs = ",".join(map(str, profile.lengths))
+        rows.append((str(index), text, runs, str(squares), decimal(size)))
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join("  ".join(map(str.ljust, row, widths)).rstrip() + "\n" for row in rows)

@@ -18,6 +18,7 @@ from delball import COLUMN_ORDER, cli, exact, oracles
 from delball.bounds import calabi_hartnett_max, sweep_reports
 from delball.cli import main
 from delball.exact import ball_size
+from delball.ops import balancing_chain, format_chain
 from delball.oracles import canonical_ball_size, enumerate_ball
 from delball.words import encode_runs, parse_word
 
@@ -402,11 +403,16 @@ def test_sweep_unwritable_path_exit_4(capsys, tmp_path):
 
 
 def test_chain_table(capsys):
-    code, out, _ = run_cli(
-        capsys, "chain", "--word", "000000011022200000333333", "--q", "4", "-t", "7"
-    )
+    # README's example, pinned whole: a padding or rstrip slip changes the digest.
+    word = "000000011022200000333333"
+    code, out, _ = run_cli(capsys, "chain", "--word", word, "--q", "4", "-t", "7")
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1b0d47123438b8a02cf291d1ef58b620d49fde6b49ac75efa831f94e495562c5"
+    )
+    assert format_chain(balancing_chain(parse_word(word, 4), 7), 7) == out
     lines = out.strip().split("\n")
+    assert len(lines) == 12
     assert lines[0].split()[:4] == ["i", "word", "runs", "sum_sq"]
     first = lines[1].split()
     assert first[0] == "0" and first[-1] == "326"

@@ -128,8 +128,13 @@ def test_balancing_chain_already_balanced():
 
 
 def test_balancing_chain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as refusal:
         balancing_chain(parse_word("00100", 2), 1)  # 3 runs, length 5
+    assert str(refusal.value) == (
+        "run count 3 does not divide length 5; no balancing chain exists. "
+        "The padded balanced bound (k = ceil(n/r)) is still available via "
+        "`delball bounds --q 2 --n 5 --r 3 -t 1`."
+    )
     with pytest.raises(ValueError):
         balancing_chain(Word((), 2), 0)
 

@@ -55,3 +55,4 @@ def test_tiny_scale_checks_pass():
     assert selftest.check_chain_states(trials=8, seed=9).passed
     assert selftest.check_triple_agreement(qs=(2,), rs=range(1, 4), ks=(1, 2)).passed
     assert selftest.check_balanced_peel_identities(qs=(2, 3), ks=(1, 2), rs=range(1, 5)).passed
+    assert selftest.check_bound_comparison_ordering().passed
