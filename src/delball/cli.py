@@ -20,10 +20,10 @@ error), which an unwritable stderr loses without changing the code.
 Every launch is a fresh interpreter, so this module imports no layer at
 its top: each command loads the modules it runs on first use.  ``--help``
 and a usage error load no delball module but this one and the package;
-``count`` adds ``words`` and ``exact`` (``split`` only when it forks);
-``chain`` adds ``words``, ``exact`` and ``ops``; ``bounds`` and ``sweep``
-add ``words``, ``exact`` and ``bounds`` (``split`` only when a one-t
-request forks).  The commands
+``count`` adds ``words`` and ``exact`` (``split`` when the split pays);
+``chain`` adds ``words``, ``exact``, ``ops`` and ``split``; ``bounds`` and
+``sweep`` add ``words``, ``exact`` and ``bounds`` (``split`` when a one-t
+request's split pays).  The commands
 call the package exports they use (such as ``ball_size``) as attributes
 of this module, which the module ``__getattr__`` resolves through the
 package's lazy table, so a ``setattr`` on the module replaces what a
@@ -148,10 +148,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
-    from .words import check_deletions
-
     word = _cli.parse_word(args.word, args.q)
-    check_deletions(len(word), (args.deletions,))
     chain = _cli.balancing_chain(_cli.encode_runs(word), args.deletions)
     from .ops import format_chain
 

@@ -14,31 +14,21 @@ runs * min(t, n - t) big-integer operations whatever the run lengths
 range of t in one row, every length by default (about runs * n / 2
 operations); ``ball_size`` is its one-t case.
 
-A prefix P = runs[:c] of h symbols and the rest S join at h (``_join``):
-every distinct subsequence factors uniquely there through its leftmost
-embedding, so with L = n - t
-
-    count(L) = row_P[L] + sum over a, k of g_a[k] * s'_a[L - k - 1],
-
-with g_a = row_P - (P's row before its last a), or row_P if a is not in P,
-and s'_a the row of reversed S before its last a, which counts the
-subsequences of S that start with a (0 if a is not in S).  Two routes use
-it.  A count at one t (``ball_size``, or ``ball_size_all`` with t_min =
-t_max) whose predicted DP cells, cut at the run that halves them, leave
-the child more work than the fork and the join cost (``_split_pays``)
-runs on two cores: the module ``split`` folds P in this process and
-reversed S in a forked child at the same time.  The split is taken only
-on Linux with os.fork, two CPUs in the affinity mask and no second live
-thread; otherwise, where it does not pay, and for a range of t, the
-single-pass DP runs, which holds snapshots only of the symbols still to
-come.  The other route is the balancing chain, ``ops._ball_sizes``.
+A count at one t (``ball_size``, or ``ball_size_all`` with t_min = t_max)
+whose predicted DP cells, cut at the run that halves them, leave the child
+more work than the fork and the join cost (``_split_pays``) is handed to
+the module ``split``, which factors it at that run and runs on two cores:
+the prefix folds in this process and the reversed suffix in a forked
+child at the same time.  The split is taken only on Linux with os.fork,
+two CPUs in the affinity mask and no second live thread; otherwise, where
+it does not pay, and for a range of t, the single-pass DP runs, which
+holds snapshots only of the symbols still to come.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate, chain, repeat, zip_longest
-from operator import mul, sub
 
 from .words import RunProfile, Word, encode_runs
 
@@ -46,8 +36,8 @@ from .words import RunProfile, Word, encode_runs
 # 50,000 cells (15 ms of DP) on a 2-vCPU host; a step of the 44-step chain
 # of a 480-symbol word predicts under 3,000.
 SPLIT_MIN_CELLS = 100_000
-# One product of _join, its factor piped from the child, costs 2 to 7 DP
-# cells at n = 2,048 on that host (about 1 us against 0.25) and 12 at
+# One product of split._join, its factor piped from the child, costs 2 to
+# 7 DP cells at n = 2,048 on that host (about 1 us against 0.25) and 12 at
 # n = 4,000.  3 keeps every count-random and count-runs-m8 benchmark word
 # split; a permutation, with about as many products as cells, never is.
 JOIN_PRODUCT_CELLS = 3
@@ -123,8 +113,8 @@ def _fold(runs, n: int, shortest: int, longest: int, state: _State = _START, las
     older rows with it.  A copy per run would make a word over many
     distinct symbols quadratic.  ``last`` maps each symbol to the index of
     its last run in ``runs``, where its snapshot is dropped; only
-    ``ball_size_all``, which reads just the row and never ``_join``s,
-    passes it.
+    ``ball_size_all``, which reads just the row and never joins it
+    (``split._join``), passes it.
     """
     i, lo, row, snapshots = state
     snapshots = dict(snapshots)
@@ -134,42 +124,6 @@ def _fold(runs, n: int, shortest: int, longest: int, state: _State = _START, las
             del snapshots[a]
         i += x
     return i, lo, row, snapshots
-
-
-def _window(snapshot: tuple[int, list[int]], first: int, last: int) -> list[int]:
-    """A snapshot's counts for the lengths first..last (first >= its lo)."""
-    lo, row = snapshot
-    part = row[first - lo : last + 1 - lo]
-    return part + [0] * (last + 1 - first - len(part))
-
-
-def _join(prefix_state: _State, suffix_snapshots, n: int, length: int) -> int:
-    """Distinct length-``length`` subsequences of the n-symbol word P.S.
-
-    ``prefix_state`` is P's state from ``_fold`` with shortest = longest
-    = length.  ``suffix_snapshots`` are the (symbol, snapshot) pairs of the
-    state of reversed S with shortest = longest = length - 1 (0 if length
-    is 0), also for an n-symbol word; they are read once, so ``split`` can
-    stream them from a child process.
-
-    The leftmost embedding of a subsequence w puts in P the longest prefix
-    u of w that is a subsequence of P; the rest is empty or a.v with a.v a
-    subsequence of S and u.a not one of P.  Of P's length-k subsequences,
-    g_a[k] = row_P[k] - (P's row before its last a)[k] are not followed by
-    a in P (g_a = row_P if a is not in P); the row of reversed S before its
-    last a, s'_a, counts the v (0 if a is not in S).  So the count is
-    row_P[length] + sum over a and k of g_a[k] * s'_a[length - k - 1].
-    """
-    h, k_lo, row, before_last = prefix_state  # k_lo = max(0, length - (n - h))
-    k_hi = min(h, length)  # u's length
-    j_lo, j_hi = max(0, length - 1 - k_hi), length - 1 - k_lo  # v's length
-    total = row[-1] if k_hi == length else 0
-    gain = row[: j_hi - j_lo + 1]  # k = k_lo..min(k_hi, length - 1)
-    for a, snapshot in suffix_snapshots:
-        own = before_last.get(a)
-        g = gain if own is None else list(map(sub, gain, _window(own, k_lo, k_hi)))
-        total += sum(map(mul, g, reversed(_window(snapshot, j_lo, j_hi))))
-    return total
 
 
 def ball_size(word: Word | RunProfile, t: int) -> int:
@@ -190,7 +144,7 @@ def _split_plan(profile: RunProfile, length: int) -> tuple[int, int]:
 
 def _split_pays(profile: RunProfile, length: int, cells: int, cut: int) -> bool:
     """Whether the half of ``cells`` the child folds outweighs the fork and
-    ``_join``'s products: band width at the cut times the symbols after it."""
+    ``split._join``'s products: band width at the cut times the symbols after it."""
     n, h = len(profile), sum(profile.lengths[:cut])
     products = (min(h, length) - max(0, length - (n - h)) + 1) * len(set(profile.symbols[cut:]))
     return cells // 2 >= SPLIT_MIN_CELLS // 2 + JOIN_PRODUCT_CELLS * products

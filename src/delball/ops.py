@@ -8,7 +8,7 @@ shorter one across a symmetric inner segment) never decreases it.  The
 contracts are exercised by the test suite; the operations themselves only
 transform words.  A balancing chain is a list of ``ChainStep`` rows,
 immutable named tuples; ``balancing_chain`` builds every step's profile
-first and counts them all in one ``_ball_sizes`` call, and
+first and counts them all in one ``split._ball_sizes`` call, and
 ``format_chain`` renders a chain as the table ``delball chain`` prints.
 """
 
@@ -17,8 +17,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .exact import _START, _fold, _join
-from .words import SYMBOL_CHARS, RunProfile, Word, canonical_profile, canonical_word, decimal, encode_runs
+from .split import _ball_sizes
+from .words import (
+    SYMBOL_CHARS, RunProfile, Word, canonical_profile, canonical_word, check_deletions, decimal, encode_runs,
+)
 
 
 def insert_symbol(word: Word, position: int, symbol: int) -> Word:
@@ -77,64 +79,6 @@ def balance_step(profile: RunProfile, p: int, s: int) -> RunProfile:
     return RunProfile(tuple(xs), profile.symbols, profile.alphabet_size)
 
 
-def _changed_runs(old: RunProfile | None, new: RunProfile | None) -> list[int] | None:
-    """The indices of the runs whose length differs from ``old`` to ``new``,
-    or None when either is None or the two differ in run symbols or length."""
-    if old is None or new is None or (old.symbols, len(old)) != (new.symbols, len(new)):
-        return None
-    return [j for j, (x, y) in enumerate(zip(old.lengths, new.lengths)) if x != y]
-
-
-def _ball_sizes(profiles: list[RunProfile], t: int) -> list[int]:
-    """[ball_size(p, t) for p in profiles], rerunning only the runs that change.
-
-    Made for chains of profiles that differ in a few run lengths, like the
-    steps of ``balancing_chain``.  One stack holds the forward DP state
-    after each of the first runs, another the state of the reversed word
-    after each of the last runs.  For each profile the states that read a
-    run changed since the previous profile are popped; the two stacks are
-    extended through the changed runs to meet at a cut, and their tops are
-    joined by ``exact._join``.  Any cut from the first changed run to just
-    past the last costs the same; it is placed as near as it can be to the
-    runs the next profile changes, so that the next profile pops the fewest
-    states.  A profile whose run symbols or length differ from the previous
-    one starts both stacks over, so the first profile costs one full DP and
-    a later one its changed runs plus one join.  The stacks hold at most
-    r + 2 states, each one band row of at most min(t, n - t) + 1 counts plus
-    one new snapshot row for a run longer than 1: at most about twice the
-    cells ``exact._split_plan`` predicts for one DP.  Never forks.
-    """
-    sizes: list[int] = []
-    for before, profile, after in zip([None, *profiles], profiles, [*profiles[1:], None]):
-        lengths, symbols, _ = profile
-        n, r = len(profile), len(lengths)
-        if not 0 <= t <= n:  # so is a next profile of length n; a longer one starts over
-            sizes.append(0)
-            continue
-        changed = _changed_runs(before, profile)
-        if changed is None:
-            forward, backward = [_START], [_START]
-            first, last = 0, r - 1
-        elif not changed:
-            sizes.append(sizes[-1])
-            continue
-        else:
-            first, last = changed[0], changed[-1]
-            del forward[first + 1 :], backward[r - last :]
-        ahead = _changed_runs(profile, after)
-        cut = min(max(ahead[0] if ahead else last, first), last + 1)
-        length = n - t
-        below = max(0, length - 1)
-        while len(backward) <= r - cut:  # backward[j] has read the last j runs
-            j = r - len(backward)
-            backward.append(_fold([(lengths[j], symbols[j])], n, below, below, backward[-1]))
-        while len(forward) <= cut:  # forward[j] has read the first j runs
-            j = len(forward) - 1
-            forward.append(_fold([(lengths[j], symbols[j])], n, length, length, forward[-1]))
-        sizes.append(_join(forward[cut], backward[r - cut][3].items(), n, length))
-    return sizes
-
-
 class ChainStep(namedtuple("ChainStep", "index profile ball_size sum_of_squares")):
     """One row of a balancing chain: profile plus its ball size at the chain's t.
 
@@ -160,12 +104,14 @@ def balancing_chain(word: Word | RunProfile, t: int) -> list[ChainStep]:
 
     Step 0 is the input, step 1 its cyclic relabeling; each later step
     applies one balance_step to the closest unbalanced pair until every
-    run has length n / r.  Requires the run count to divide the length (the
-    refusal names the ``delball bounds`` request that still applies).
+    run has length n / r.  Requires 0 <= t <= n, as ``delball chain`` does,
+    and the run count to divide the length (the refusal names the
+    ``delball bounds`` request that still applies).
     Along the chain the ball size never decreases and the sum of squared
     run lengths strictly decreases at every balance step.
     """
     n = len(word)
+    check_deletions(n, (t,))
     start = encode_runs(word)
     r = start.run_count
     if r == 0:

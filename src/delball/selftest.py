@@ -20,11 +20,9 @@ from collections import namedtuple
 from .balanced import BalancedBallCalculator
 from .bounds import calabi_hartnett_max, sweep_reports
 from .exact import _split_plan, ball_size, ball_size_all
-from .ops import (
-    _ball_sizes, apply_permutation, balance_step, balancing_chain, cyclicize, insert_symbol, reduce_to_binary,
-)
+from .ops import apply_permutation, balance_step, balancing_chain, cyclicize, insert_symbol, reduce_to_binary
 from .oracles import enumerate_ball
-from .split import split_count
+from .split import _ball_sizes, split_count
 from .words import (
     RunProfile,
     Word,

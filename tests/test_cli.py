@@ -459,12 +459,15 @@ def test_selftest_small(capsys):
 
 # Launches, their exit codes and the delball modules past the package and
 # cli that each loads.
+# A 2,048-symbol binary count at t = 1024, whose split pays.
+PAYING_COUNT = ("count", "--word", "".join(random.Random(1).choices("01", k=2048)), "-t", "1024")
 LAUNCH_MODULES = (
     (("--help",), 0, ()),
     (("count", "--help"), 0, ()),
     (("count", "--word", "0101"), 2, ()),  # a usage error: -t is missing
     (("count", "--word", "0101", "-t", "1"), 0, ("exact", "words")),
-    (("chain", "--word", "0011", "-t", "1"), 0, ("exact", "ops", "words")),
+    (PAYING_COUNT, 0, ("exact", "split", "words")),
+    (("chain", "--word", "0011", "-t", "1"), 0, ("exact", "ops", "split", "words")),
     (("bounds", "--q", "3", "--n", "12", "--r", "4", "-t", "2"), 0, ("bounds", "exact", "words")),
     (("sweep", "--q", "3", "--n", "12", "--r", "4", "--t", "0..2"), 0, ("bounds", "exact", "words")),
 )
@@ -512,6 +515,14 @@ def test_cli_import_footprint():
         assert launched_modules(*argv) == (code, modules), argv
     # main's except clauses, down to OSError, load no layer either.
     assert launched_modules("--help", preexec_fn=lambda: os.close(1)) == (4, ["delball", "delball.cli"])
+    # A count whose split pays loads split before it asks for a second core,
+    # so it loads the same modules on one CPU, where it does not fork.
+    profile = encode_runs(parse_word(PAYING_COUNT[2]))
+    assert exact._split_pays(profile, 1024, *exact._split_plan(profile, 1024))
+    if sys.platform.startswith("linux"):
+        cpu = min(os.sched_getaffinity(0))
+        one_cpu = launched_modules(*PAYING_COUNT, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+        assert one_cpu == (0, ["delball", "delball.cli", "delball.exact", "delball.split", "delball.words"])
 
 
 def test_bounds_and_sweep_launches_load_no_json():

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from delball import COLUMN_ORDER, exact, oracles, split
 from delball.bounds import report_for_word, sweep_reports
 from delball.exact import SPLIT_MIN_CELLS, _fold, _split_plan, ball_size, ball_size_all
-from delball.ops import _ball_sizes, balance_step, balancing_chain, cyclicize
+from delball.ops import balance_step, balancing_chain, cyclicize
 from delball.oracles import EnumerationBudgetError, canonical_ball_size, enumerate_ball, enumeration_budget
+from delball.split import _ball_sizes
 from delball.words import (
     RunProfile,
     Word,
@@ -566,8 +567,12 @@ def test_ball_sizes_equal_one_dp_per_profile(walk):
     assert _ball_sizes(profiles, t) == [ball_size(p, t) for p in profiles]
     start = profiles[0]
     if len(start) % start.run_count == 0:
-        chain = balancing_chain(start, max(t, 0))
-        assert [s.ball_size for s in chain] == [ball_size(s.profile, max(t, 0)) for s in chain]
+        if t > len(start):  # the chain refuses t outside [0, n], as `delball chain` does
+            with pytest.raises(ValueError, match=rf"^t={t} outside \[0, n={len(start)}\]$"):
+                balancing_chain(start, t)
+        else:
+            chain = balancing_chain(start, max(t, 0))
+            assert [s.ball_size for s in chain] == [ball_size(s.profile, max(t, 0)) for s in chain]
 
 
 # The 44-step chain of the seed-1 `count-runs` benchmark request
@@ -645,9 +650,12 @@ def test_unary_alphabet_and_empty_word_routes_agree():
             assert len(enumerate_ball(word, t)) == size
             assert canonical_ball_size(profile.lengths, 1, t) == size
             assert _ball_sizes([profile, profile], t) == [size, size]
-            if n:
+            if n and 0 <= t <= n:
                 chain = balancing_chain(word, t)
                 assert [(step.profile, step.ball_size) for step in chain] == [(profile, size)] * 2
+            elif n:
+                with pytest.raises(ValueError, match=rf"^t={t} outside \[0, n={n}\]$"):
+                    balancing_chain(word, t)
 
 
 def test_canonical_ball_size_matches_dp():

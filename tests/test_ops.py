@@ -137,6 +137,10 @@ def test_balancing_chain_errors():
     )
     with pytest.raises(ValueError):
         balancing_chain(Word((), 2), 0)
+    # t is checked first, as `delball chain` checks it before its refusals.
+    for word, t in ((parse_word("00100", 2), 6), (parse_word("0011"), -1), (Word((), 2), 1)):
+        with pytest.raises(ValueError, match=rf"^t={t} outside \[0, n={len(word)}\]$"):
+            balancing_chain(word, t)
 
 
 def test_balancing_chain_single_symbol_alphabet():
