@@ -13,7 +13,9 @@ closed at launch, or ``--out``), 130 interrupted (SIGINT, as by Ctrl-C).
 Each command parses, calls its layer and prints its result, and
 ``selftest`` maps its own refusal; ``main`` maps every other failure to
 its code and one line on stderr (argparse's usage text for a usage
-error), which an unwritable stderr loses without changing the code.
+error), which an unwritable stderr loses without changing the code.  ``main``
+returns the code and never ends the process; ``__main__.run``, behind
+``python -m delball`` and the ``delball`` script, owns the exit.
 ``--help`` writes to stdout under the same table.  ``bounds`` and
 ``sweep`` compute all their reports before writing, then stream the text.
 
@@ -33,7 +35,6 @@ command calls.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from collections.abc import Iterator, Sequence
@@ -58,12 +59,6 @@ def __getattr__(name: str) -> object:
     return value
 
 
-def _drop_pending(stream) -> None:
-    """Send what a standard stream still holds to the null device, where the exit flush succeeds."""
-    if stream is not None and stream in (sys.__stdout__, sys.__stderr__):
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
-
-
 class _UsageError(Exception):
     """A usage error, carrying argparse's usage text and error line."""
 
@@ -86,7 +81,7 @@ def _fail(message: str, code: int, prefix: str = "delball: ") -> int:
         if sys.stderr is not None:
             print(f"{prefix}{message}", file=sys.stderr)
     except OSError:
-        _drop_pending(sys.stderr)
+        pass
     return code
 
 
@@ -227,7 +222,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise OSError("stdout is closed")  # launched with >&-: print would drop the output
             code = args.func(args)
         if sys.stdout is not None:  # None only when the output goes to --out
-            sys.stdout.flush()  # so a failed write ends here, not in Python's exit flush
+            sys.stdout.flush()  # so a failed write ends here, under the table below
         return code
     except _UsageError as exc:
         return _fail(str(exc), EXIT_INPUT, prefix="")
@@ -238,7 +233,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OverflowError as exc:
         return _fail(f"the request is too large for this machine: {exc}", EXIT_BUDGET)
     except OSError as exc:
-        _drop_pending(sys.stdout)
         return _fail(f"cannot write output: {exc}", EXIT_IO)
     except KeyboardInterrupt:
         return _fail("interrupted", EXIT_INTERRUPTED)

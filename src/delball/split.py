@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import marshal
 import os
-import signal
 import sys
 from io import BufferedReader
 from operator import mul, sub
@@ -208,6 +207,7 @@ def _reap(pid: int, pipe: BufferedReader) -> None:
     The child is killed, not waited out: once the count is done (or
     interrupted) nothing it still writes is read.
     """
+    import signal  # here, not at the top: a chain launch never forks
     pipe.close()
     try:
         os.kill(pid, signal.SIGKILL)

@@ -481,11 +481,14 @@ def src_env() -> dict:
 
 def launched_modules(*argv, package="delball", **options):
     """Exit code of `python -m delball argv`, run by runpy, and the sorted
-    modules of ``package`` loaded when it exits (its last stderr line)."""
+    modules of ``package`` loaded when it exits (its last stderr line).
+    The launch ends in ``os._exit``, which runs no ``atexit`` handler, so
+    the script wraps ``os._exit`` to print them first."""
     script = (
-        "import atexit, runpy, sys; "
-        f"atexit.register(lambda: print(*sorted(m for m in sys.modules if m.split('.')[0] == {package!r}), "
-        "file=sys.stderr)); "
+        "import os, runpy, sys; "
+        "os._exit = lambda code, _exit=os._exit: ("
+        f"print(*sorted(m for m in sys.modules if m.split('.')[0] == {package!r}), file=sys.stderr, flush=True), "
+        "_exit(code)); "
         "runpy.run_module('delball', run_name='__main__', alter_sys=True)"
     )
     result = subprocess.run(
@@ -515,6 +518,8 @@ def test_cli_import_footprint():
         assert launched_modules(*argv) == (code, modules), argv
     # main's except clauses, down to OSError, load no layer either.
     assert launched_modules("--help", preexec_fn=lambda: os.close(1)) == (4, ["delball", "delball.cli"])
+    # A chain loads split but never forks, so it loads no signal for split._reap.
+    assert launched_modules("chain", "--word", "0011", "-t", "1", package="signal") == (0, [])
     # A count whose split pays loads split before it asks for a second core,
     # so it loads the same modules on one CPU, where it does not fork.
     profile = encode_runs(parse_word(PAYING_COUNT[2]))
@@ -859,6 +864,67 @@ def test_argparse_exits_follow_the_exit_code_table(unbuffered):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="closes a descriptor in the child")
 def test_help_with_stdout_closed_exit_4():
     assert_one_line(launch("--help", closed_fd=1), 4, "cannot write output: stdout is closed")
+
+
+class _Stream:
+    """A standard stream that holds what is written until it is flushed."""
+
+    def __init__(self, full=False):
+        self.pending, self.flushed, self.full = "", "", full
+
+    def write(self, text):
+        self.pending += text
+        return len(text)
+
+    def flush(self):
+        if self.full:
+            raise OSError("No space left on device")
+        self.flushed, self.pending = self.flushed + self.pending, ""
+
+
+class _Exited(Exception):
+    """What the patched ``os._exit`` saw: the code and both streams' flushed text."""
+
+
+@pytest.mark.parametrize("full", (False, True))
+def test_run_flushes_both_streams_then_exits_with_mains_code(monkeypatch, full):
+    # run() ends the process with os._exit, which flushes nothing: it must
+    # flush first.  A stdout whose flush fails (main has already mapped the
+    # failed write) keeps main's code and still lets stderr's line out.
+    import delball.__main__ as entry
+
+    out, err = _Stream(full), _Stream()
+
+    def fake_main():
+        print("line", file=sys.stdout)
+        print("note", file=sys.stderr)
+        return 2
+
+    def fake_exit(code):
+        raise _Exited(code, out.flushed, err.flushed)
+
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    monkeypatch.setattr(entry, "main", fake_main)
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    with pytest.raises(_Exited) as exited:
+        entry.run()
+    assert exited.value.args == (2, "" if full else "line\n", "note\n")
+
+
+def test_launch_output_equals_in_process_output(capsys, tmp_path):
+    # 537 kB of JSON, far past any stream buffer: every byte a launch writes,
+    # through a pipe or to --out, is there when it exits.
+    argv = ("sweep", "--q", "3", "--n", "600", "--r", "600", "--t", "0..600", "--format", "json")
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(expected) > 500_000
+    target = tmp_path / "sweep.json"
+    for out in ((), ("--out", str(target))):
+        result = subprocess.run(
+            [sys.executable, "-m", "delball", *argv, *out], env=src_env(), capture_output=True, timeout=120
+        )
+        assert (result.returncode, result.stderr) == (0, b""), out
+        assert (target.read_bytes() if out else result.stdout) == expected.encode(), out
 
 
 def test_chain_word_column_from_runs(capsys):
