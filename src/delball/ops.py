@@ -6,10 +6,11 @@ binary alphabet never increases it, permutations preserve it, and a
 balancing step (shifting one unit of length from a longer run to a
 shorter one across a symmetric inner segment) never decreases it.  The
 contracts are exercised by the test suite; the operations themselves only
-transform words.  A balancing chain is a list of ``ChainStep`` rows,
-immutable named tuples; ``balancing_chain`` builds every step's profile
-first and counts them all in one ``split._ball_sizes`` call, and
-``format_chain`` renders a chain as the table ``delball chain`` prints.
+transform words.  A balancing chain leads any non-empty word to a
+near-balanced one (every run floor(n/r) or ceil(n/r) long) as a list of
+``ChainStep`` rows, immutable named tuples; ``balancing_chain`` builds every
+step's profile first and counts them all in one ``split._ball_sizes`` call,
+and ``format_chain`` renders a chain as the table ``delball chain`` prints.
 """
 
 from __future__ import annotations
@@ -100,32 +101,24 @@ def _select_pair(lengths: tuple[int, ...]) -> tuple[int, int]:
 
 
 def balancing_chain(word: Word | RunProfile, t: int) -> list[ChainStep]:
-    """Transform ``word`` or its run profile into the balanced word with the same run count.
+    """Transform ``word`` or its run profile into a near-balanced word with the same run count.
 
     Step 0 is the input, step 1 its cyclic relabeling; each later step
     applies one balance_step to the closest unbalanced pair until every
-    run has length n / r.  Requires 0 <= t <= n, as ``delball chain`` does,
-    and the run count to divide the length (the refusal names the
-    ``delball bounds`` request that still applies).
+    run has length floor(n / r) or ceil(n / r), so exactly n / r when r
+    divides n.  The closest pair of runs whose lengths differ by more than
+    one always has a symmetric segment between them, for any n.  Requires
+    0 <= t <= n, as ``delball chain`` does, and a non-empty word.
     Along the chain the ball size never decreases and the sum of squared
     run lengths strictly decreases at every balance step.
     """
-    n = len(word)
-    check_deletions(n, (t,))
+    check_deletions(len(word), (t,))
     start = encode_runs(word)
-    r = start.run_count
-    if r == 0:
+    if start.run_count == 0:
         raise ValueError("empty word has no balancing chain")
-    if n % r != 0:
-        raise ValueError(
-            f"run count {r} does not divide length {n}; no balancing chain exists. "
-            f"The padded balanced bound (k = ceil(n/r)) is still available via "
-            f"`delball bounds --q {word.alphabet_size} --n {n} --r {r} -t {t}`."
-        )
-    k = n // r
     current = canonical_profile(start.lengths, word.alphabet_size)
     profiles = [start, current]
-    while any(x != k for x in current.lengths):
+    while max(current.lengths) - min(current.lengths) > 1:
         current = balance_step(current, *_select_pair(current.lengths))
         profiles.append(current)
     sizes = _ball_sizes(profiles, t)

@@ -332,15 +332,16 @@ def check_chain_contract(trials: int, seed: int, max_n: int = 24) -> CheckResult
 def check_chain_states(trials: int, seed: int, max_r: int = 8, max_k: int = 4) -> CheckResult:
     """The ball sizes of a sequence of profiles from reused DP states
     (``_ball_sizes``, behind ``balancing_chain``) equal one ``ball_size`` per
-    profile: on the balancing chains of seeded words, and on random walks
-    that move one unit between two runs and now and then relabel the runs."""
+    profile: on the balancing chains of seeded words, r dividing n or not, and
+    on random walks that move one unit between two runs and now and then
+    relabel the runs."""
     rng = random.Random(seed)
     violations = []
     checked = 0
     for _ in range(trials):
         q = rng.randint(2, 4)
         r = rng.randint(1, max_r)
-        n = r * rng.randint(1, max_k)
+        n = rng.randint(r, r * max_k)
         cuts = sorted(rng.sample(range(1, n), r - 1)) if r > 1 else []
         start = encode_runs(random_run_word(rng, tuple(b - a for a, b in zip([0] + cuts, cuts + [n])), q))
         t = rng.randint(0, n)

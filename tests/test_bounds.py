@@ -3,7 +3,7 @@ import random
 import sys
 import time
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -24,8 +24,9 @@ from delball.bounds import (
     sweep_reports,
 )
 from delball.exact import ball_size, ball_size_all
+from delball.ops import balancing_chain
 from delball.oracles import canonical_ball_size, enumerate_ball
-from delball.words import Word, cyclic_word, decimal, encode_runs, parse_word, unbalanced_profile
+from delball.words import RunProfile, Word, cyclic_word, decimal, encode_runs, parse_word, unbalanced_profile
 
 
 def binomial(a: int, b: int) -> int:
@@ -303,6 +304,53 @@ def test_balanced_upper_bound():
         sweep_reports(2, 5, 2, [6])
     with pytest.raises(ValueError, match=r"^need 1 <= r <= n, got r=5, n=4$"):
         sweep_reports(3, 4, 5, [1])
+
+
+def r_run_extremes(q: int, n: int, r: int) -> tuple[list[int], list[int], int]:
+    """The pointwise min and max of ``ball_size_all`` over every word of n symbols
+    in r runs over q symbols, and how many words were counted.  It runs every
+    composition of n into r parts times every run symbol sequence up to
+    relabelling: first symbol 0, neighbours distinct, each new symbol the next
+    unused one."""
+    sequences = [(0,)]
+    for _ in range(r - 1):
+        sequences = [s + (a,) for s in sequences for a in range(min(max(s) + 2, q)) if a != s[-1]]
+    columns = [
+        ball_size_all(RunProfile(tuple(b - a for a, b in zip((0, *cuts), (*cuts, n))), symbols, q))
+        for cuts in combinations(range(1, n), r - 1)
+        for symbols in sequences
+    ]
+    return [min(c) for c in zip(*columns)], [max(c) for c in zip(*columns)], len(columns)
+
+
+def test_new_columns_are_r_run_extremes():
+    # new_lower is the minimum ball over r-run words at every t, new_upper the
+    # maximum when r divides n.  A balancing chain from the minimizing word
+    # ends at or below the maximum, on it when r divides n.
+    cases = words = 0
+    for q, top in ((2, 12), (3, 10), (4, 9)):
+        for n in range(1, top + 1):
+            for r in range(1, n + 1):
+                low, high, count = r_run_extremes(q, n, r)
+                cases, words = cases + 1, words + count
+                columns = ("lev_lower", "hr_lower", "new_lower", "new_upper")
+                reports = sweep_reports(q, n, r, range(n + 1), columns)
+                assert [rep.new_lower for rep in reports] == low, (q, n, r)
+                assert all(rep.lev_lower <= rep.hr_lower <= rep.new_lower for rep in reports)
+                uppers = [rep.new_upper for rep in reports]
+                chain = balancing_chain(unbalanced_profile(n, r, q), n // 2)
+                end = ball_size_all(chain[-1].profile)
+                assert chain[-1].ball_size == end[n // 2]
+                if n % r == 0:
+                    assert uppers == end == high, (q, n, r)
+                else:
+                    assert all(e <= h <= u for e, h, u in zip(end, high, uppers)), (q, n, r)
+    assert (cases, words) == (178, 33684)
+    # Near-balanced is not always the maximum: 00100100100 (runs 2,1,2,1,2,1,2)
+    # is its own chain's end, yet 01001100110 has a larger ball at t = 5.
+    chain = balancing_chain(parse_word("00100100100"), 5)
+    assert [step.ball_size for step in chain] == [38, 38]
+    assert r_run_extremes(2, 11, 7)[1][5] == ball_size(parse_word("01001100110"), 5) == 56
 
 
 def test_report_for_word_table_row():

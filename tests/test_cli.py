@@ -443,11 +443,21 @@ def test_chain_balls_equal_fresh_counts(capsys):
         assert int(row[-1]) == ball_size(parse_word(row[1], 4), 240), row[0]
 
 
-def test_chain_rejects_indivisible_runs(capsys):
-    code, _, err = run_cli(capsys, "chain", "--word", "00100", "-t", "1")
-    assert code == 2
-    assert "does not divide" in err
-    assert "bounds" in err
+def test_chain_balances_indivisible_runs(capsys):
+    # 3 runs, length 5: already near-balanced, so the chain is the input
+    # and its relabeling.
+    code, out, err = run_cli(capsys, "chain", "--word", "00100", "-t", "1")
+    assert (code, err) == (0, "")
+    assert out.split("\n")[1:] == ["0  00100  2,1,2  9       3", "1  00100  2,1,2  9       3", ""]
+    # README's r ∤ n example ends near-balanced: every run 2 or 3 long.
+    code, out, _ = run_cli(capsys, "chain", "--word", "01000000110", "-t", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3de3d2aa239e445a7acb8be18dd8d9b7ae4e621f7610cc65ffb7d222f1630b57"
+    )
+    rows = [line.split() for line in out.strip().split("\n")[1:]]
+    assert [row[2] for row in (rows[0], rows[-1])] == ["1,1,6,2,1", "2,3,2,2,2"]
+    assert len(rows) == 7
 
 
 def test_selftest_small(capsys):

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delball.exact import ball_size, ball_size_all
 from delball.ops import (
     ChainStep,
+    _select_pair,
     apply_permutation,
     balance_step,
     balancing_chain,
@@ -128,19 +131,49 @@ def test_balancing_chain_already_balanced():
 
 
 def test_balancing_chain_errors():
-    with pytest.raises(ValueError) as refusal:
-        balancing_chain(parse_word("00100", 2), 1)  # 3 runs, length 5
-    assert str(refusal.value) == (
-        "run count 3 does not divide length 5; no balancing chain exists. "
-        "The padded balanced bound (k = ceil(n/r)) is still available via "
-        "`delball bounds --q 2 --n 5 --r 3 -t 1`."
-    )
     with pytest.raises(ValueError):
         balancing_chain(Word((), 2), 0)
-    # t is checked first, as `delball chain` checks it before its refusals.
+    # t is checked first, as `delball chain` checks it before the empty word.
     for word, t in ((parse_word("00100", 2), 6), (parse_word("0011"), -1), (Word((), 2), 1)):
         with pytest.raises(ValueError, match=rf"^t={t} outside \[0, n={len(word)}\]$"):
             balancing_chain(word, t)
+
+
+@st.composite
+def chain_requests(draw):
+    """A word of 1..14 symbols over q in 2..5, built from runs of length 1..6 with
+    distinct neighbouring symbols, and a t in [0, n]; r need not divide n."""
+    q = draw(st.integers(2, 5))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=14))
+    symbols = [draw(st.integers(0, q - 1))]
+    for _ in lengths[1:]:
+        symbols.append((symbols[-1] + draw(st.integers(1, q - 1))) % q)
+    word = Word(tuple(a for x, a in zip(lengths, symbols) for _ in range(x))[:14], q)
+    return word, draw(st.integers(0, len(word)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(chain_requests())
+@example((parse_word("01000000110"), 5))
+@example((parse_word("00100"), 1))
+@example((parse_word("000000011022200000333333", 4), 7))
+def test_balancing_chain_property(case):
+    word, t = case
+    chain = balancing_chain(word, t)
+    profiles = [step.profile for step in chain]
+    assert profiles[0] == encode_runs(word)
+    for before, after in zip(profiles[1:], profiles[2:]):
+        assert after == balance_step(before, *_select_pair(before.lengths))
+    columns = [ball_size_all(profile) for profile in profiles]
+    assert [step.ball_size for step in chain] == [column[t] for column in columns]
+    for before, after in zip(columns, columns[1:]):
+        assert all(b <= a for b, a in zip(before, after))
+    squares = [step.sum_of_squares for step in chain]
+    assert all(a > b for a, b in zip(squares[1:], squares[2:]))
+    n, r = len(word), profiles[0].run_count
+    assert set(profiles[-1].lengths) <= {n // r, -(-n // r)}
+    if n % r == 0:
+        assert profiles[-1].lengths == (n // r,) * r
 
 
 def test_balancing_chain_single_symbol_alphabet():
