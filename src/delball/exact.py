@@ -6,13 +6,15 @@ the ball is empty for t < 0 or t > n, and is the singleton {empty word}
 for t = n.  The oracles that check this DP are in ``oracles``.
 
 ``ball_size`` takes a Word or its RunProfile, and ``_fold``, the one loop
-over runs, applies ``_run_update`` to each: one pass over the row per run
-of any length.  The row keeps only the lengths that can still reach
-n - t, a band at most min(t, n - t) + 1 wide, so one value costs about
-runs * min(t, n - t) big-integer operations whatever the run lengths
-(plus O(n) to group a Word).  ``ball_size_all`` keeps the lengths of a
-range of t in one row, every length by default (about runs * n / 2
-operations); ``ball_size`` is its one-t case.
+over runs, applies ``_run_update`` to each.  A run costs a few
+big-integer operations per cell of the row: 2 for one symbol, 1 + x for
+a run of x = 2 or 3, and 5 for any longer run.  The row keeps only the
+lengths that can still reach n - t, a band at most min(t, n - t) + 1
+wide, so one value costs at most about 5 * runs * min(t, n - t)
+operations whatever the run lengths (plus O(n) to group a Word).
+``ball_size_all`` keeps the lengths of a range of t in one row, every
+length by default (about runs * n / 2 cells); ``ball_size`` is its one-t
+case.
 
 A count at one t (``ball_size``, or ``ball_size_all`` with t_min = t_max)
 whose predicted DP cells, cut at the run that halves them, leave the child
@@ -41,6 +43,10 @@ SPLIT_MIN_CELLS = 100_000
 # n = 4,000.  3 keeps every count-random and count-runs-m8 benchmark word
 # split; a permutation, with about as many products as cells, never is.
 JOIN_PRODUCT_CELLS = 3
+# The longest run that ``_run_update`` sends through its gain row (1 + x
+# operations a cell) rather than the window sums (5): at x = 3 the two are
+# about even, and 3 measured faster than 2 on count-random words.
+GAIN_RUN_MAX = 3
 
 
 _State = tuple[int, int, list[int], dict[int, tuple[int, list[int]]]]
@@ -63,9 +69,16 @@ def _run_update(
     extensions that already existed when a was last appended are the ones
     counted by the row snapshot taken just before that occurrence.  So with
     g = row - snapshot (g = row if a is new), one a adds g[m-1] to row[m],
-    and a run of x copies of a adds the window sum g[m-x] + ... + g[m-1],
-    read off one prefix sum of g.  The row before the run's last a, the
-    next snapshot for a, is the new row minus g[m-x].
+    and a run of x copies of a adds g[m-1] + ... + g[m-x].  The row before
+    the run's last a, the next snapshot for a, lacks only g[m-x].  Three
+    routes, in big-integer operations per cell of the row:
+
+    * x = 1: one fused pass, row[m] + row[m-1] - snapshot[m-1]; 2.
+    * x <= GAIN_RUN_MAX (3): g once, then one pass adding g shifted by s
+      for each s = 1..x; the row before the last pass is the snapshot.
+      1 + x, so 3 or 4.
+    * longer runs: the window sum read off one prefix sum of g, and the
+      snapshot as the new row minus g[m-x]; 5 whatever x.
 
     Updates only move counts to longer lengths, so the row is cut at
     ``longest``.  After i symbols a length below shortest - (n - i) cannot
@@ -73,7 +86,8 @@ def _run_update(
     (``lo``) and entries below it are dropped.  A row or snapshot list ends
     at its prefix length (or ``longest``); lengths past its end count 0.
     So g and its prefix sums are 0 below ``lo`` and constant past the row's
-    end; both are read lazily, so a run costs the row's width, not x.
+    end; the window route reads both lazily, so its cost is the row's
+    width, not x.
     """
     i, lo, row, before_last = state
     i += x
@@ -90,17 +104,23 @@ def _run_update(
         new = [c + d - b for c, d, b in zip_longest(cur, down, old, fillvalue=0)]
         snapshot = (lo, row)
     else:
-        pad = lo - (new_lo - x)  # the windows start at length new_lo - x <= lo
+        pad = lo - (new_lo - x)  # g is read from length new_lo - x <= lo
         old = p_row[lo - p_lo : top - p_lo]
         gain = [c - b for c, b in zip_longest(row[: top - lo], old, fillvalue=0)]  # g from lo up
-        g = chain(repeat(0, pad), gain, repeat(0))  # g[m - x] for m = new_lo..top
-        sums = list(accumulate(gain, initial=0))  # sums[j] = g summed below lo + j
-        cur = row[new_lo - lo :]
-        cur += [0] * (top - new_lo + 1 - len(cur))  # row[m]
-        above = chain(sums[new_lo - lo :], repeat(sums[-1]))  # g summed below m
-        below = chain(repeat(0, pad), sums, repeat(sums[-1]))  # g summed below m - x
-        new = [c + s - e for c, s, e in zip(cur, above, below)]
-        snapshot = (new_lo, [v - d for v, d in zip(new, g)])
+        new = row[new_lo - lo :]
+        new += [0] * (top - new_lo + 1 - len(new))  # row[m]
+        if x <= GAIN_RUN_MAX:
+            g = [0] * pad + gain + [0] * (top - lo - len(gain))  # g[new_lo - x .. top - 1]
+            for start in range(x - 1, -1, -1):  # add g[m - s] for s = 1..x
+                before, new = new, [c + d for c, d in zip(new, g[start:])]
+            snapshot = (new_lo, before)
+        else:
+            g = chain(repeat(0, pad), gain, repeat(0))  # g[m - x] for m = new_lo..top
+            sums = list(accumulate(gain, initial=0))  # sums[j] = g summed below lo + j
+            above = chain(sums[new_lo - lo :], repeat(sums[-1]))  # g summed below m
+            below = chain(repeat(0, pad), sums, repeat(sums[-1]))  # g summed below m - x
+            new = [c + s - e for c, s, e in zip(new, above, below)]
+            snapshot = (new_lo, [v - d for v, d in zip(new, g)])
     return new_lo, new, snapshot
 
 

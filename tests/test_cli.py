@@ -802,16 +802,18 @@ def test_interrupted_sweep_prints_one_line(tmp_path):
 
 
 def test_interrupted_chain_and_selftest_print_one_line():
-    # SIGINT 1.5 s in, while the table or the suites are computed, before
-    # anything is printed: a 100-run, 2,000-symbol chain at t = 1000 (about
-    # 8 s on a 2-vCPU host), signalled alone, and selftest full (about 6 s),
-    # signalled with its group as Ctrl-C would.
+    # SIGINT while the table or the suites are computed, before anything is
+    # printed: 1.5 s into a 100-run, 2,000-symbol chain at t = 1000 (about
+    # 4 s on a 2-vCPU host), signalled alone, and 0.75 s into selftest full
+    # (about 2 s, with no size to raise), signalled with its group as
+    # Ctrl-C would.  Start-up reaches main in under 0.1 s.
     rng = random.Random(1)
     cuts = sorted(rng.sample(range(1, 2000), 99))
     lengths = [b - a for a, b in zip([0, *cuts], [*cuts, 2000])]
     text = "".join("0123"[i % 4] * x for i, x in enumerate(lengths))
-    for argv, group in ((("chain", "--word", text, "-t", "1000"), False), (("selftest", "full"), True)):
-        result, _ = interrupted(*argv, after=1.5, group=group)
+    cases = ((("chain", "--word", text, "-t", "1000"), False, 1.5), (("selftest", "full"), True, 0.75))
+    for argv, group, after in cases:
+        result, _ = interrupted(*argv, after=after, group=group)
         assert (result.returncode, result.stdout, result.stderr) == (130, "", INTERRUPTED), argv[0]
         assert "Traceback" not in result.stderr
 
@@ -821,16 +823,16 @@ CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.
 
 @pytest.mark.skipif(not hasattr(os, "fork") or CPUS < 2, reason="needs os.fork and two CPUs")
 def test_interrupted_forking_count_stops_its_child():
-    # A count of 7,000 random symbols over 4 at t = 3500 forks its DP, and
-    # takes about 3 s.  SIGINT 1 s in, to the parent alone or to the whole
-    # group: the parent kills its child rather than waiting for it, so the
-    # launch ends at once (a live child would hold stderr open).
+    # A count of 12,000 random symbols over 4 at t = 6000 forks its DP, and
+    # takes about 5 s on a 2-vCPU host.  SIGINT 1 s in, to the parent alone
+    # or to the whole group: the parent kills its child rather than waiting
+    # for it, so the launch ends at once (a live child would hold stderr open).
     rng = random.Random(1)
-    text = "".join(rng.choice("0123") for _ in range(7000))
+    text = "".join(rng.choice("0123") for _ in range(12000))
     profile = encode_runs(parse_word(text))
-    assert exact._split_pays(profile, 3500, *exact._split_plan(profile, 3500))
+    assert exact._split_pays(profile, 6000, *exact._split_plan(profile, 6000))
     for group in (False, True):
-        result, waited = interrupted("count", "--word", text, "-t", "3500", after=1.0, group=group)
+        result, waited = interrupted("count", "--word", text, "-t", "6000", after=1.0, group=group)
         assert (result.returncode, result.stdout, result.stderr) == (130, "", INTERRUPTED), group
         assert waited < 1.0, group
 

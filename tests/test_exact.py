@@ -329,6 +329,50 @@ def test_fold_from_a_start_state_property(word):
             assert start == kept
 
 
+@st.composite
+def banded_runs(draw):
+    """(runs, bands): up to 8 (length, symbol) pairs, lengths 1..6 over q in
+    1..5 with equal neighbours allowed, and the full range of lengths with
+    one band cut at both ends when n >= 2."""
+    q = draw(st.integers(1, 5))
+    runs = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, q - 1)), max_size=8))
+    n = sum(x for x, _ in runs)
+    bands = [(0, n)]
+    if n >= 2:
+        shortest = draw(st.integers(1, n - 1))
+        bands.append((shortest, draw(st.integers(shortest, n - 1))))
+    return runs, bands
+
+
+def at_lengths(lo, values, lengths):
+    """values[m - lo] for each length m, 0 past the list's ends."""
+    return [values[m - lo] if 0 <= m - lo < len(values) else 0 for m in lengths]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(banded_runs())
+@example(([(2, 0), (3, 1), (2, 0), (3, 1), (4, 0)], [(0, 14), (5, 9)]))
+@example(([(3, 0), (3, 0), (1, 1), (6, 0)], [(0, 13), (12, 12)]))
+def test_run_routes_equal_unit_steps_property(case):
+    # _fold does not merge equal neighbours, so a run (x, a) is x unit runs
+    # (1, a): each route of _run_update (x = 1, the gain row for x <= 3, the
+    # window sums beyond) must leave the state x unit steps leave.
+    runs, bands = case
+    units = [(1, a) for x, a in runs for _ in range(x)]
+    n = len(units)
+    for shortest, longest in bands:
+        i, lo, row, snapshots = _fold(runs, n, shortest, longest)
+        unit_i, unit_lo, unit_row, unit_snapshots = _fold(units, n, shortest, longest)
+        assert (i, lo) == (unit_i, unit_lo)
+        lengths = range(lo, longest + 1)
+        assert at_lengths(lo, row, lengths) == at_lengths(unit_lo, unit_row, lengths)
+        assert snapshots.keys() == unit_snapshots.keys()
+        for a, (p_lo, p_row) in snapshots.items():
+            unit_p_lo, unit_p_row = unit_snapshots[a]
+            lengths = range(max(p_lo, unit_p_lo), longest + 1)
+            assert at_lengths(p_lo, p_row, lengths) == at_lengths(unit_p_lo, unit_p_row, lengths), a
+
+
 def random_profile(seed, n=1100, q=3):
     rng = random.Random(seed)
     return encode_runs(Word(tuple(rng.randrange(q) for _ in range(n)), q))
