@@ -467,6 +467,107 @@ def test_selftest_small(capsys):
     assert "FAIL" not in out
 
 
+# Each command's usage line, the first line of its help and of its refusals.
+USAGE = {
+    "": "usage: delball [-h] {count,bounds,sweep,chain,selftest} ...\n",
+    "count": "usage: delball count [-h] (--word WORD | --runs RUNS) [--q Q] -t DELETIONS\n",
+    "bounds": "usage: delball bounds [-h] --q Q --n N --r R -t DELETIONS [--exact]\n",
+    "sweep": "usage: delball sweep [-h] --q Q --n N --r R --t T [--cols COLS] [--out OUT] [--format {csv,json}]\n",
+    "chain": "usage: delball chain [-h] --word WORD [--q Q] -t DELETIONS\n",
+    "selftest": "usage: delball selftest [-h] [{small,full}]\n",
+}
+
+
+def refusal(command, message):
+    return USAGE[command] + f"delball{' ' + command if command else ''}: error: {message}\n"
+
+
+SWEEP = ("sweep", "--q", "2", "--n", "4", "--r", "2", "--cols", "exact")
+SWEEP_CSV = "t,exact\n0,1\n1,2\n2,2\n3,2\n"
+BOUNDS = ("bounds", "--q", "2", "--n", "4", "--r", "2", "-t", "1", "--exact")
+T_RANGE_ERROR = 'delball: t range must look like "a..b" with integers a <= b, got {!r}\n'
+# argv -> (exit code, stdout, stderr).  A stdout given as an argv is the
+# stdout of that canonical spelling.
+GRAMMAR = (
+    (("count", "--word", "01", "-t", "1"), 0, "2\n", ""),
+    (("count", "--word=01", "-t1"), 0, "2\n", ""),
+    (("count", "--word", "01", "-t=1"), 0, "2\n", ""),
+    (("count", "--word", "01", "--deletions", "1"), 0, "2\n", ""),
+    (("count", "--word", "01", "--deletions=1"), 0, "2\n", ""),
+    (("count", "--wo", "01", "--del", "1"), 0, "2\n", ""),
+    (("count", "--wo=01", "--d=1"), 0, "2\n", ""),
+    (("count", "-t", "1", "--word", "01"), 0, "2\n", ""),
+    (("count", "--word", "00", "--word", "01", "-t", "0", "-t", "1"), 0, "2\n", ""),
+    (("count", "--runs=1,1;0,1", "--q", "2", "-t", "1"), 0, "2\n", ""),
+    (("count", "--word", "01", "-t", "-1"), 2, "", "delball: t=-1 outside [0, n=2]\n"),
+    ((*SWEEP, "--t", "0..3"), 0, SWEEP_CSV, ""),
+    ((*SWEEP, "--t=0..3"), 0, SWEEP_CSV, ""),
+    ((*SWEEP, "--t", " 0 .. 3 "), 0, SWEEP_CSV, ""),
+    ((*SWEEP, "--t", "٠..٣"), 0, SWEEP_CSV, ""),  # Arabic-Indic digits 0..3
+    ((*SWEEP, "--t", "0..3", "--out", "-"), 0, SWEEP_CSV, ""),
+    ((*SWEEP, "--t", "0..3", "--format=json"), 0, (*SWEEP, "--t", "0..3", "--format", "json"), ""),
+    ((*SWEEP, "--fo", "json", "--t", "0..3"), 0, (*SWEEP, "--t", "0..3", "--format", "json"), ""),
+    (("sweep", "--c", "exact", "--q=2", "--n=4", "--r=2", "--t=0..3"), 0, SWEEP_CSV, ""),
+    ((*BOUNDS[:-1], "--ex"), 0, BOUNDS, ""),
+    (("bounds", "--exact", "-t1", "--r", "2", "--n", "4", "--q", "2"), 0, BOUNDS, ""),
+    (("selftest",), 0, "small\n", ""),
+    (("selftest", "small"), 0, "small\n", ""),
+    (("selftest", "full"), 0, "full\n", ""),
+    (("count", "--word", "01"), 2, "", refusal("count", "the following arguments are required: -t/--deletions")),
+    (("bounds", "--q", "3"), 2, "",
+     refusal("bounds", "the following arguments are required: --n, --r, -t/--deletions")),
+    ((), 2, "", refusal("", "the following arguments are required: command")),
+    (("count", "-t", "1"), 2, "", refusal("count", "one of the arguments --word --runs is required")),
+    (("count", "--word", "01", "--runs", "1,1;0,1", "-t", "1"), 2, "",
+     refusal("count", "argument --runs: not allowed with argument --word")),
+    (("count", "--word", "01", "-t", "x"), 2, "",
+     refusal("count", "argument -t/--deletions: invalid int value: 'x'")),
+    (("count", "--word"), 2, "", refusal("count", "argument --word: expected one argument")),
+    (("count", "--word", "--runs", "1;0", "-t", "1"), 2, "",
+     refusal("count", "argument --word: expected one argument")),
+    ((*SWEEP, "--t", "0..3", "--format", "xml"), 2, "",
+     refusal("sweep", "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')")),
+    ((*SWEEP, "--t", "-1..3"), 2, "", refusal("sweep", "argument --t: expected one argument")),
+    (("selftest", "bogus"), 2, "",
+     refusal("selftest", "argument scale: invalid choice: 'bogus' (choose from 'small', 'full')")),
+    (("bogus",), 2, "", refusal(
+        "", "argument command: invalid choice: 'bogus' (choose from 'count', 'bounds', 'sweep', 'chain', 'selftest')"
+    )),
+    (("count", "--word", "01", "-t", "1", "--method", "dp"), 2, "",
+     refusal("count", "unrecognized arguments: --method dp")),
+    ((*BOUNDS, "--exact=1"), 2, "", refusal("bounds", "argument --exact: ignored explicit argument '1'")),
+    ((*SWEEP, "--t", "1_0..12"), 2, "", T_RANGE_ERROR.format("1_0..12")),
+    ((*SWEEP, "--t", "0..3..4"), 2, "", T_RANGE_ERROR.format("0..3..4")),
+    ((*SWEEP, "--t", "3..1"), 2, "", T_RANGE_ERROR.format("3..1")),
+)
+
+
+def test_command_line_grammar(capsys, monkeypatch):
+    # Every accepted spelling prints what its canonical spelling prints, and
+    # every refusal is the command's usage line and one error line.
+    from delball import selftest
+
+    monkeypatch.setattr(selftest, "run", lambda scale: print(scale) or 0)
+    for argv, code, out, err in GRAMMAR:
+        if isinstance(out, tuple):
+            out = run_cli(capsys, *out)[1]
+            assert out, argv
+        assert run_cli(capsys, *argv) == (code, out, err), argv
+
+
+def test_help_names_every_argument(capsys):
+    for command in USAGE:
+        arguments = cli.COMMANDS[command][2] if command else ()
+        for spelling in ("-h", "--help"):
+            code, out, err = run_cli(capsys, *filter(None, [command, spelling]))
+            assert (code, err) == (0, "") and out.startswith(USAGE[command] + "\n"), (command, spelling)
+            for name in ("-h", "--help", *(cli.COMMANDS if not command else ())):
+                assert name in out, (command, name)
+            for flags, kind, *_ in arguments:
+                names = flags.split("/") if flags[0] == "-" else ["{" + ",".join(kind) + "}"]
+                assert all(name in out for name in names), (command, flags)
+
+
 # Launches, their exit codes and the delball modules past the package and
 # cli that each loads.
 # A 2,048-symbol binary count at t = 1024, whose split pays.
@@ -491,13 +592,15 @@ def src_env() -> dict:
 
 def launched_modules(*argv, package="delball", **options):
     """Exit code of `python -m delball argv`, run by runpy, and the sorted
-    modules of ``package`` loaded when it exits (its last stderr line).
+    modules of ``package`` (several names split by spaces) loaded when it
+    exits (its last stderr line).
     The launch ends in ``os._exit``, which runs no ``atexit`` handler, so
     the script wraps ``os._exit`` to print them first."""
     script = (
         "import os, runpy, sys; "
         "os._exit = lambda code, _exit=os._exit: ("
-        f"print(*sorted(m for m in sys.modules if m.split('.')[0] == {package!r}), file=sys.stderr, flush=True), "
+        f"print(*sorted(m for m in sys.modules if m.split('.')[0] in {package.split()!r}), "
+        "file=sys.stderr, flush=True), "
         "_exit(code)); "
         "runpy.run_module('delball', run_name='__main__', alter_sys=True)"
     )
@@ -526,6 +629,15 @@ def test_cli_import_footprint():
     for argv, code, layers in LAUNCH_MODULES:
         modules = sorted(["delball", "delball.cli", *(f"delball.{m}" for m in layers)])
         assert launched_modules(*argv) == (code, modules), argv
+    # No launch loads argparse, gettext or textwrap: cli reads its own option
+    # table.  It loads re only where a bare interpreter's start-up does (here
+    # `site` may import it for a .pth file), and then the same modules of it.
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 're'))"],
+        env=src_env(), capture_output=True, text=True, timeout=60,
+    )
+    for argv, code, _ in LAUNCH_MODULES:
+        assert launched_modules(*argv, package="argparse gettext re textwrap") == (code, bare.stdout.split()), argv
     # main's except clauses, down to OSError, load no layer either.
     assert launched_modules("--help", preexec_fn=lambda: os.close(1)) == (4, ["delball", "delball.cli"])
     # A chain loads split but never forks, so it loads no signal for split._reap.
