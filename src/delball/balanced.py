@@ -29,8 +29,6 @@ survives); tail_ball(r, t) = 0 for r <= 0 and for t outside [0, rk - 1];
 composition_count(0, 0, k) = 1.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Callable
 from itertools import accumulate

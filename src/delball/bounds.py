@@ -40,8 +40,6 @@ line, a sweep's JSON row and, after q, n and r, ``to_json_dict``.
 ``json_chunks`` (which it and ``delball bounds`` use) writes JSON.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain

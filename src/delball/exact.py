@@ -27,8 +27,6 @@ it does not pay, and for a range of t, the single-pass DP runs, which
 holds snapshots only of the symbols still to come.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from itertools import accumulate, chain, repeat, zip_longest
 

@@ -13,8 +13,6 @@ step's profile first and counts them all in one ``split._ball_sizes`` call,
 and ``format_chain`` renders a chain as the table ``delball chain`` prints.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Sequence
 

@@ -8,8 +8,6 @@ by the tests and ``selftest`` against it; no command counts with them.
   increase cyclically, from the run lengths alone.
 """
 
-from __future__ import annotations
-
 import os
 from collections import deque
 from itertools import accumulate, combinations

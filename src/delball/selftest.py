@@ -10,8 +10,6 @@ suites at acceptance scale and adds the split DP and the large
 bound-comparison sweep.  Each suite's PASS/FAIL line ends with its time.
 """
 
-from __future__ import annotations
-
 import os
 import random
 import time
@@ -484,7 +482,7 @@ def suites_for_scale(scale: str) -> list[CheckResult]:
 def run(scale: str = "small") -> int:
     """Run the suites, print one PASS/FAIL line each, return a process exit code."""
     failures = 0
-    started = time.time()
+    started = time.perf_counter()
     for result in suites_for_scale(scale):
         tag = "PASS" if result.passed else "FAIL"
         if not result.passed:
@@ -495,5 +493,5 @@ def run(scale: str = "small") -> int:
             print(f"      {line}")
         if len(result.violations) > 5:
             print(f"      ... {len(result.violations) - 5} more")
-    print(f"{'OK' if not failures else 'FAILED'}: scale={scale}, {time.time() - started:.1f}s")
+    print(f"{'OK' if not failures else 'FAILED'}: scale={scale}, {time.perf_counter() - started:.1f}s")
     return 0 if failures == 0 else 1

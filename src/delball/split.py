@@ -19,8 +19,6 @@ reversed S in a forked child where ``second_core_free`` holds.
 over a chain of profiles and reruns only the runs a step changes.
 """
 
-from __future__ import annotations
-
 import marshal
 import os
 import sys

@@ -18,8 +18,6 @@ lengths; ``to_word`` decodes n symbols only where a Word is the result or
 is printed (enumeration, the chain table, the word builders).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Iterable
 from itertools import groupby
@@ -33,7 +31,7 @@ class Word(namedtuple("Word", "symbols alphabet_size")):
 
     __slots__ = ()
 
-    def __new__(cls, symbols: tuple[int, ...], alphabet_size: int) -> Word:
+    def __new__(cls, symbols: tuple[int, ...], alphabet_size: int) -> "Word":
         self = super().__new__(cls, tuple(symbols), alphabet_size)
         if self.alphabet_size < 1:
             raise ValueError("alphabet size must be at least 1")
@@ -67,7 +65,7 @@ class RunProfile(namedtuple("RunProfile", "lengths symbols alphabet_size")):
 
     def __new__(
         cls, lengths: tuple[int, ...], symbols: tuple[int, ...], alphabet_size: int
-    ) -> RunProfile:
+    ) -> "RunProfile":
         self = super().__new__(cls, tuple(lengths), tuple(symbols), alphabet_size)
         if self.alphabet_size < 1:
             raise ValueError("alphabet size must be at least 1")

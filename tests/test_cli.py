@@ -632,12 +632,13 @@ def test_cli_import_footprint():
     # No launch loads argparse, gettext or textwrap: cli reads its own option
     # table.  It loads re only where a bare interpreter's start-up does (here
     # `site` may import it for a .pth file), and then the same modules of it.
+    # Nor __future__: every module evaluates its annotations.
     bare = subprocess.run(
         [sys.executable, "-c", "import sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 're'))"],
         env=src_env(), capture_output=True, text=True, timeout=60,
     )
     for argv, code, _ in LAUNCH_MODULES:
-        assert launched_modules(*argv, package="argparse gettext re textwrap") == (code, bare.stdout.split()), argv
+        assert launched_modules(*argv, package="__future__ argparse gettext re textwrap") == (code, bare.stdout.split()), argv
     # main's except clauses, down to OSError, load no layer either.
     assert launched_modules("--help", preexec_fn=lambda: os.close(1)) == (4, ["delball", "delball.cli"])
     # A chain loads split but never forks, so it loads no signal for split._reap.
@@ -972,7 +973,7 @@ def test_help_and_usage_errors_as_processes():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/full is Linux-only")
 @pytest.mark.parametrize("unbuffered", (False, True))
-def test_argparse_exits_follow_the_exit_code_table(unbuffered):
+def test_help_and_usage_exits_follow_the_exit_code_table(unbuffered):
     with open("/dev/full", "wb") as full:
         for argv in (("--help",), ("count", "--help")):
             assert_one_line(launch(*argv, stdout=full, unbuffered=unbuffered), 4, "cannot write output")
